@@ -15,8 +15,6 @@ import sys
 import threading
 from functools import lru_cache
 
-DEFAULT_PASCAL_CAP = 4096
-
 
 class NonDivisible(ArithmeticError):
     """Exact division failed; carries the dividend, divisor, and remainder."""
@@ -45,57 +43,12 @@ def lcm(a: int, b: int) -> int:
     return math.lcm(a, b)
 
 
-class BinomialCache:
-    """Append-only table of Pascal's triangle rows.
-
-    Rows are immutable tuples built by addition only (no division), appended
-    in order, and never replaced, so readers may index any published row
-    without taking the growth lock. Memory is quadratic in the largest row
-    requested; the cap bounds that.
-    """
-
-    def __init__(self, cap: int = DEFAULT_PASCAL_CAP):
-        if cap < 0:
-            raise ValueError("cap must be non-negative")
-        self.cap = cap
-        self._rows: list[tuple[int, ...]] = [(1,)]
-        self._lock = threading.Lock()
-
-    @property
-    def rows_published(self) -> int:
-        return len(self._rows)
-
-    def row(self, n: int) -> tuple[int, ...]:
-        if n < 0:
-            raise ValueError("row index must be non-negative")
-        if n > self.cap:
-            raise ValueError(f"row {n} exceeds the cache cap {self.cap}")
-        rows = self._rows
-        if n < len(rows):
-            return rows[n]
-        with self._lock:
-            while len(self._rows) <= n:
-                prev = self._rows[-1]
-                mid = tuple(prev[i - 1] + prev[i] for i in range(1, len(prev)))
-                self._rows.append((1, *mid, 1))
-        return self._rows[n]
-
-
-_PASCAL = BinomialCache()
-
-
 def binomial(n: int, k: int) -> int:
-    """binomial(n, k) with the vanishing convention: 0 when k < 0 or k > n.
-
-    Served from the shared Pascal-row cache up to its cap, by the exact
-    multiplicative formula (math.comb) beyond it.
-    """
+    """binomial(n, k) with the vanishing convention: 0 when k < 0 or k > n."""
     if n < 0:
         raise ValueError(f"binomial requires n >= 0, got n={n}")
     if k < 0 or k > n:
         return 0
-    if n <= _PASCAL.cap:
-        return _PASCAL.row(n)[k]
     return math.comb(n, k)
 
 
@@ -106,8 +59,8 @@ _central_lock = threading.Lock()
 def central_binomial(n: int) -> int:
     """binomial(2n, n) via the exact quotient recurrence c_k = c_{k-1}(4k-2)/k.
 
-    Kept separate from the Pascal cache so sweeps that need central binomials
-    for n in the hundreds do not materialize thousand-entry rows.
+    The values found so far are kept, so a sweep over n costs one step per
+    new n.
     """
     if n < 0:
         raise ValueError(f"central_binomial requires n >= 0, got n={n}")

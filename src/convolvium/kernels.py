@@ -11,8 +11,14 @@ by (-1)^k itself. The built-in families:
     gessel(r)       (-1)^k P(k, r) P(n-k, r)
     custom          explicit table {(n, k, a): value}
 
+Kernels are evaluated a row at a time: `Kernel.row(n, a)` gives F(n, k, a)
+for k = 0..n, and a point call reads its value out of that row. Every
+built-in family is (-1)^k f(k) f(n-k) for one factor f, so a row costs n+1
+evaluations of f.
+
 The `bump` field is a fault-injection hook for the verifier's sensitivity
-tests: it adds a delta to the kernel's value at exactly one point.
+tests: it adds a delta to the kernel's value at exactly one point, applied
+when the row holding that point is built.
 """
 
 from __future__ import annotations
@@ -20,7 +26,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Mapping
+from typing import Callable, Mapping
 
 from .exact import binomial, gessel, half_super_catalan, super_catalan
 
@@ -75,37 +81,60 @@ class Kernel:
             return f"{self.family.value}({self.order})"
         return self.family.value
 
+    def row(self, n: int, a: int) -> tuple[int, ...]:
+        """The kernel row (F(n, 0, a), ..., F(n, n, a)), bump included.
+
+        A custom table serves a row only when it holds every k = 0..n.
+        """
+        if n < 0 or a < 0:
+            raise KernelDomainError(f"kernel row out of domain: n={n}, a={a}")
+        values = _ROW_BUILDERS[self.family](self, n, a)
+        if self.bump is not None:
+            (bn, bk, ba), delta = self.bump
+            if bn == n and ba == a and 0 <= bk <= n:
+                values[bk] += delta
+        return tuple(values)
+
     def __call__(self, n: int, k: int, a: int) -> int:
         if n < 0 or a < 0 or k < 0 or k > n:
             raise KernelDomainError(
                 f"kernel point out of domain: n={n}, k={k}, a={a}"
             )
-        fam = self.family
-        if fam is KernelFamily.PLAIN:
-            value = _sign(k)
-        elif fam is KernelFamily.RISING:
-            value = _sign(k) * binomial(a + k, k) * binomial(a + n - k, n - k)
-        elif fam is KernelFamily.CENTRAL:
-            value = _sign(k) * binomial(2 * k, k) * binomial(2 * (n - k), n - k)
-        elif fam is KernelFamily.SUPERCAT:
-            r = self.order
-            value = _sign(k) * super_catalan(k, r) * super_catalan(n - k, r)
-        elif fam is KernelFamily.HALF_SUPERCAT:
-            r = self.order
-            value = _sign(k) * half_super_catalan(k, r) * half_super_catalan(n - k, r)
-        elif fam is KernelFamily.GESSEL:
-            r = self.order
-            value = _sign(k) * gessel(k, r) * gessel(n - k, r)
-        else:
-            try:
-                value = self.table[(n, k, a)]
-            except KeyError:
-                raise KernelDomainError(
-                    f"custom kernel has no value at (n={n}, k={k}, a={a})"
-                ) from None
-        if self.bump is not None and self.bump[0] == (n, k, a):
-            value += self.bump[1]
-        return value
+        return self.row(n, a)[k]
+
+
+def _symmetric_row(factor: Callable[[int], int], n: int) -> list[int]:
+    """(-1)^k f(k) f(n-k) for k = 0..n, each f(i) evaluated once."""
+    f = [factor(i) for i in range(n + 1)]
+    return [_sign(k) * f[k] * f[n - k] for k in range(n + 1)]
+
+
+def _custom_row(kernel: Kernel, n: int, a: int) -> list[int]:
+    values = []
+    for k in range(n + 1):
+        try:
+            values.append(kernel.table[(n, k, a)])
+        except KeyError:
+            raise KernelDomainError(
+                f"custom kernel has no value at (n={n}, k={k}, a={a})"
+            ) from None
+    return values
+
+
+# family -> builder of the unbumped row F(n, 0..n, a)
+_ROW_BUILDERS: dict[KernelFamily, Callable[[Kernel, int, int], list[int]]] = {
+    KernelFamily.PLAIN: lambda kern, n, a: [_sign(k) for k in range(n + 1)],
+    KernelFamily.RISING: lambda kern, n, a: _symmetric_row(lambda i: binomial(a + i, i), n),
+    KernelFamily.CENTRAL: lambda kern, n, a: _symmetric_row(lambda i: binomial(2 * i, i), n),
+    KernelFamily.SUPERCAT: lambda kern, n, a: _symmetric_row(
+        lambda i: super_catalan(i, kern.order), n
+    ),
+    KernelFamily.HALF_SUPERCAT: lambda kern, n, a: _symmetric_row(
+        lambda i: half_super_catalan(i, kern.order), n
+    ),
+    KernelFamily.GESSEL: lambda kern, n, a: _symmetric_row(lambda i: gessel(i, kern.order), n),
+    KernelFamily.CUSTOM: _custom_row,
+}
 
 
 def plain_kernel() -> Kernel:
@@ -144,11 +173,10 @@ def with_bump(kernel: Kernel, point: Point, delta: int = 1) -> Kernel:
 def binomial_pair_kernel(g: Kernel, n: int, a: int) -> Kernel:
     """The kernel H(n, k, a) = binomial(a+k, a) binomial(a+n-k, a) G(n, k, a),
     materialized as a custom table over the single slice (n, a)."""
-    table = {
-        (n, k, a): binomial(a + k, a) * binomial(a + n - k, a) * g(n, k, a)
-        for k in range(n + 1)
-    }
-    return custom_kernel(table)
+    row = g.row(n, a)
+    return custom_kernel(
+        {(n, k, a): binomial(a + k, a) * binomial(a + n - k, a) * row[k] for k in range(n + 1)}
+    )
 
 
 def random_kernel(rng: random.Random, n_max: int, a_max: int) -> Kernel:

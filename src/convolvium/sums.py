@@ -17,13 +17,24 @@ the M-sums together and are exposed as operations:
     theorem2_transform  transplants a binomial(a+k,a) binomial(a+n-k,a) pair
                         out of the kernel and into index shifts.
 
+The engine works on kernel rows: each sum reads the row F(n, 0..n, a) once.
+The vector forms return a whole offset range at once: `m_sum_vector` the
+M-sums at j = 0..n//2 of one row and level, `m_sum_lift_vector` the next
+level up from one level-t vector, and `theorem2_transform_vector` the
+transplant at j = 0..n from one level-0 vector of G. The scalar functions
+are views over the same per-offset code.
+
 Sums are evaluated in ascending k with plain integer arithmetic; there are no
 floating-point or modular shortcuts anywhere.
 """
 
 from __future__ import annotations
 
-from .exact import binomial
+from functools import lru_cache
+from math import comb
+from operator import mul
+from typing import Sequence
+
 from .kernels import (
     Kernel,
     gessel_kernel,
@@ -38,12 +49,42 @@ def _check_args(**named: int) -> None:
             raise ValueError(f"{name} must be non-negative, got {value}")
 
 
+@lru_cache(maxsize=64)
+def _pascal(n: int) -> tuple[int, ...]:
+    """binomial(n, k) for k = 0..n. A sweep reads the same few small rows
+    tens of thousands of times; the bound keeps big-n rows from piling up."""
+    return tuple([comb(n, k) for k in range(n + 1)])
+
+
 def direct_sum(kernel: Kernel, n: int, m: int, a: int = 0) -> int:
-    """sum_{k=0}^{n} binomial(n, k)^m * F(n, k, a)."""
+    """sum_{k=0}^{n} binomial(n, k)^m * F(n, k, a), a dot product with the
+    kernel row."""
     _check_args(n=n, a=a)
     if m < 1:
         raise ValueError(f"m must be at least 1, got {m}")
-    return sum(binomial(n, k) ** m * kernel(n, k, a) for k in range(n + 1))
+    return sum(c**m * f for c, f in zip(_pascal(n), kernel.row(n, a)))
+
+
+def _weigh(row: Sequence[int], t: int) -> list[int]:
+    """binomial(n, k)^t F(n, k, a) for k = 0..n, from the row F(n, ., a)."""
+    return [c**t * f for c, f in zip(_pascal(len(row) - 1), row)]
+
+
+def _m_sum_at(weighted: list[int], n: int, j: int) -> int:
+    """The offset-j M-sum (2j <= n) from the weighted row."""
+    inner = sum(map(mul, _pascal(n - 2 * j), weighted[j : n - j + 1]))
+    return comb(n - j, j) * inner
+
+
+def m_sum_vector(row: Sequence[int], t: int) -> tuple[int, ...]:
+    """The level-t M-sums at every offset j = 0..n//2 of the kernel row
+    F(n, 0..n, a), where n = len(row) - 1."""
+    _check_args(t=t)
+    if not row:
+        raise ValueError("a kernel row has at least one entry")
+    n = len(row) - 1
+    weighted = _weigh(row, t)
+    return tuple(_m_sum_at(weighted, n, j) for j in range(n // 2 + 1))
 
 
 def m_sum(kernel: Kernel, n: int, j: int, t: int, a: int = 0) -> int:
@@ -51,11 +92,28 @@ def m_sum(kernel: Kernel, n: int, j: int, t: int, a: int = 0) -> int:
     _check_args(n=n, j=j, t=t, a=a)
     if 2 * j > n:
         return 0
-    inner = sum(
-        binomial(n - 2 * j, k - j) * binomial(n, k) ** t * kernel(n, k, a)
-        for k in range(j, n - j + 1)
-    )
-    return binomial(n - j, j) * inner
+    return _m_sum_at(_weigh(kernel.row(n, a), t), n, j)
+
+
+def _check_level(level: Sequence[int], n: int) -> None:
+    if len(level) != n // 2 + 1:
+        raise ValueError(
+            f"an M-sum vector at n={n} has {n // 2 + 1} offsets, got {len(level)}"
+        )
+
+
+def _lift_at(level: Sequence[int], n: int, j: int) -> int:
+    # binomial(n-j, u) times the level-t offset j+u, for u = 0..n//2 - j
+    return comb(n, j) * sum(map(mul, _pascal(n - j), level[j:]))
+
+
+def m_sum_lift_vector(level: Sequence[int], n: int) -> tuple[int, ...]:
+    """The level-raise recurrence: the level-(t+1) M-sums at offsets
+    j = 0..n//2, from the level-t M-sums `level` at the same offsets. Offset
+    j reads the level-t offsets j..n//2."""
+    _check_args(n=n)
+    _check_level(level, n)
+    return tuple(_lift_at(level, n, j) for j in range(n // 2 + 1))
 
 
 def m_sum_lift(kernel: Kernel, n: int, j: int, t: int, a: int = 0) -> int:
@@ -64,11 +122,24 @@ def m_sum_lift(kernel: Kernel, n: int, j: int, t: int, a: int = 0) -> int:
     _check_args(n=n, j=j, t=t, a=a)
     if 2 * j > n:
         return 0
+    return _lift_at(m_sum_vector(kernel.row(n, a), t), n, j)
+
+
+def _transplant_at(level0: Sequence[int], n: int, j: int, a: int) -> int:
     total = sum(
-        binomial(n - j, u) * m_sum(kernel, n, j + u, t, a)
-        for u in range((n - 2 * j) // 2 + 1)
+        comb(n - j + l, l) * comb(n - j, a - l) * level0[j + a - l]
+        for l in range(a + 1)
+        if 2 * (j + a - l) <= n
     )
-    return binomial(n, j) * total
+    return comb(a + j, a) * total
+
+
+def theorem2_transform_vector(level0: Sequence[int], n: int, a: int) -> tuple[int, ...]:
+    """The kernel-transplant recurrence at every offset j = 0..n, from the
+    level-0 M-sums `level0` (offsets 0..n//2) of G at (n, a)."""
+    _check_args(n=n, a=a)
+    _check_level(level0, n)
+    return tuple(_transplant_at(level0, n, j, a) for j in range(n + 1))
 
 
 def theorem2_transform(g_kernel: Kernel, n: int, j: int, a: int) -> int:
@@ -80,16 +151,14 @@ def theorem2_transform(g_kernel: Kernel, n: int, j: int, a: int) -> int:
         binomial(a+j, a) * sum_{l=0}^{a}
             binomial(n-j+l, l) binomial(n-j, a-l) M_G(n, j+a-l, 0; a)
 
-    which this evaluates from the G side. Offsets past n yield 0.
+    which this evaluates from the G side. Offsets past n/2 yield 0 without
+    reading G: every M-sum of G the sum needs sits at an offset >= j, where
+    it vanishes.
     """
     _check_args(n=n, j=j, a=a)
-    if j > n:
+    if 2 * j > n:
         return 0
-    total = sum(
-        binomial(n - j + l, l) * binomial(n - j, a - l) * m_sum(g_kernel, n, j + a - l, 0, a)
-        for l in range(a + 1)
-    )
-    return binomial(a + j, a) * total
+    return _transplant_at(m_sum_vector(g_kernel.row(n, a), 0), n, j, a)
 
 
 def gessel_convolution(n: int, m: int, r: int) -> int:

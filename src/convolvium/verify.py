@@ -58,7 +58,13 @@ from .paths import (
     prefix_path_spec,
     verify_interpretations,
 )
-from .sums import direct_sum, m_sum, m_sum_lift, theorem2_transform
+from .sums import (
+    direct_sum,
+    m_sum,
+    m_sum_lift_vector,
+    m_sum_vector,
+    theorem2_transform_vector,
+)
 
 DEFAULT_BUDGET_MS = 600_000.0
 BUDGET_ENV_VAR = "CONVOLVIUM_BUDGET_MS"
@@ -359,13 +365,29 @@ def _run_eq8(ctx: _SuiteCtx) -> None:
         entries.append((f"custom[{i}]", random_kernel(rng, p["n_max"], 0), 0))
     for label, kern, a in entries:
         for n in range(p["n_max"] + 1):
+            # direct side: every level straight from the row; recurrence
+            # side: level t+1 from the level-t vector alone
+            row = kern.row(n, a)
+            levels = [m_sum_vector(row, t) for t in range(p["m_max"] + 1)]
+            lifted = [m_sum_lift_vector(levels[t], n) for t in range(p["m_max"])]
             for j in range(n // 2 + 1):
                 for t in range(p["m_max"]):
                     ctx.equal(
                         {"kernel": label, "n": n, "j": j, "t": t, "a": a},
-                        m_sum(kern, n, j, t + 1, a),
-                        m_sum_lift(kern, n, j, t, a),
+                        levels[t + 1][j],
+                        lifted[t][j],
                     )
+
+
+def _transplant_sides(
+    h: Kernel, g: Kernel, n: int, a: int
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Offsets j = 0..n of the level-0 M-sums of the dressed kernel h, read
+    from h's row, and of their transplant, read from g's level-0 vector
+    alone."""
+    direct = m_sum_vector(h.row(n, a), 0) + (0,) * (n - n // 2)
+    moved = theorem2_transform_vector(m_sum_vector(g.row(n, a), 0), n, a)
+    return direct, moved
 
 
 def _run_thm2(ctx: _SuiteCtx) -> None:
@@ -375,12 +397,12 @@ def _run_thm2(ctx: _SuiteCtx) -> None:
         g = random_kernel(rng, p["n_max"], p["a_max"])
         for n in range(p["n_max"] + 1):
             for a in range(p["a_max"] + 1):
-                h = binomial_pair_kernel(g, n, a)
+                direct, moved = _transplant_sides(binomial_pair_kernel(g, n, a), g, n, a)
                 for j in range(n + 1):
                     ctx.equal(
                         {"kernel": f"custom[{i}]", "n": n, "j": j, "a": a},
-                        m_sum(h, n, j, 0, a),
-                        theorem2_transform(g, n, j, a),
+                        direct[j],
+                        moved[j],
                     )
     # the named instance: the gessel(r) kernel is the binomial-pair dressing
     # of half-supercat(r) at a = r - 1, so the transplant must reproduce its
@@ -390,11 +412,12 @@ def _run_thm2(ctx: _SuiteCtx) -> None:
         g = ctx.mk(KernelFamily.HALF_SUPERCAT, r)
         q = ctx.mk(KernelFamily.GESSEL, r)
         for h in range(h_max + 1):
+            direct, moved = _transplant_sides(q, g, 2 * h, r - 1)
             for j in range(h + 1):
                 ctx.equal(
                     {"kernel": f"gessel({r})", "n": 2 * h, "j": j, "a": r - 1},
-                    m_sum(q, 2 * h, j, 0, r - 1),
-                    theorem2_transform(g, 2 * h, j, r - 1),
+                    direct[j],
+                    moved[j],
                 )
 
 
@@ -812,14 +835,18 @@ def run_all(
 ) -> list[VerificationReport]:
     """Run every registered suite, in registry order.
 
-    A suite that raises (over budget, or a genuine bug) is converted into a
-    failing report rather than aborting the batch. jobs > 1 runs suites on a
-    thread pool; reports still come back in registry order.
+    The budget is resolved once, before any suite runs, so a malformed
+    CONVOLVIUM_BUDGET_MS raises ValueError (a usage error) instead of
+    becoming one failing report per suite. A suite that raises (over budget,
+    or a genuine bug) is converted into a failing report rather than aborting
+    the batch. jobs > 1 runs suites on a thread pool; reports still come back
+    in registry order.
     """
+    budget = _resolve_budget(budget_ms)
 
     def one(name: str) -> VerificationReport:
         try:
-            return run_suite(name, sweep, bump=bump, budget_ms=budget_ms)
+            return run_suite(name, sweep, bump=bump, budget_ms=budget)
         except Exception as exc:
             return VerificationReport(
                 suite=name,

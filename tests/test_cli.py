@@ -7,6 +7,7 @@ usage problems (including unknown names and over-budget ranges).
 
 from __future__ import annotations
 
+import hashlib
 import json
 
 import pytest
@@ -133,6 +134,27 @@ def test_verify_exit_codes(capsys, monkeypatch):
     code, out, _ = run(capsys, "verify", "all", "--format", "json")
     assert code == 1
     assert json.loads(out)["passed"] is False
+
+
+def test_verify_malformed_budget_is_a_usage_error(capsys, monkeypatch):
+    # the same bad value is a usage error for one suite and for the batch
+    monkeypatch.setenv("CONVOLVIUM_BUDGET_MS", "abc")
+    for suite in ("eq14", "all"):
+        code, out, err = run(capsys, "verify", suite)
+        assert code == 2, suite
+        assert "CONVOLVIUM_BUDGET_MS" in err and out == ""
+
+
+# sha256 of `verify all --format json` at the default seed 24301, the same
+# golden digest bench/run.py checks; a refactor of the arithmetic must keep it
+_GOLDEN_REPORT_SHA256 = "e7b24ce45eac6fe3b73e906efcca67e101e514a57d80875130dc5b70a18d9903"
+
+
+def test_verify_all_json_matches_golden_digest(capsys, monkeypatch):
+    monkeypatch.delenv("CONVOLVIUM_BUDGET_MS", raising=False)
+    code, out, _ = run(capsys, "verify", "all", "--format", "json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == _GOLDEN_REPORT_SHA256
 
 
 def test_verify_bad_jobs(capsys):

@@ -8,15 +8,12 @@ against the functions under test themselves.
 from __future__ import annotations
 
 import math
-import threading
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from convolvium.exact import (
-    DEFAULT_PASCAL_CAP,
-    BinomialCache,
     NonDivisible,
     binomial,
     catalan,
@@ -73,65 +70,12 @@ def test_binomial_row_sum(n):
     assert sum(binomial(n, k) for k in range(n + 1)) == 2**n
 
 
-def test_binomial_beyond_cache_cap_falls_back():
-    n = DEFAULT_PASCAL_CAP + 10
-    assert binomial(n, 2) == n * (n - 1) // 2
-
-
-# ------------------------------------------------------------- BinomialCache
-
-
-def test_cache_rows_are_pascal_rows():
-    cache = BinomialCache(cap=64)
-    row = cache.row(6)
-    assert row == (1, 6, 15, 20, 15, 6, 1)
-    assert isinstance(row, tuple)
-    assert cache.rows_published >= 7
-
-
-def test_cache_rows_append_only():
-    cache = BinomialCache(cap=32)
-    first = cache.row(5)
-    cache.row(20)
-    assert cache.row(5) is first
-
-
-def test_cache_cap_enforced():
-    cache = BinomialCache(cap=8)
-    cache.row(8)
-    with pytest.raises(ValueError):
-        cache.row(9)
-    with pytest.raises(ValueError):
-        cache.row(-1)
-
-
-def test_cache_rejects_negative_cap():
-    with pytest.raises(ValueError):
-        BinomialCache(cap=-1)
-
-
-def test_cache_concurrent_growth_is_consistent():
-    cache = BinomialCache(cap=200)
-    errors = []
-
-    def worker(start: int):
-        try:
-            for n in range(start, 200, 7):
-                row = cache.row(n)
-                assert len(row) == n + 1
-                assert row[0] == row[n] == 1
-                k = n // 2
-                assert row[k] == math.comb(n, k)
-        except Exception as exc:  # surface across the thread boundary
-            errors.append(exc)
-
-    threads = [threading.Thread(target=worker, args=(s,)) for s in range(8)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    assert not errors
-    assert cache.rows_published <= 201
+def test_binomial_large_n_matches_math_comb():
+    # the reference is the product formula
+    for n, k in ((4106, 2), (5000, 3), (20000, 7)):
+        assert binomial(n, k) == math.prod(range(n - k + 1, n + 1)) // math.factorial(k)
+        assert binomial(n, n - k) == binomial(n, k)
+    assert binomial(20000, 20001) == 0
 
 
 # ------------------------------------------------------------ exact division

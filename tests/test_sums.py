@@ -44,9 +44,12 @@ from convolvium.sums import (
     gessel_convolution,
     m_sum,
     m_sum_lift,
+    m_sum_lift_vector,
+    m_sum_vector,
     quarter_psi,
     supercat_convolution,
     theorem2_transform,
+    theorem2_transform_vector,
 )
 
 # --------------------------------------------------------------------- kernels
@@ -151,6 +154,88 @@ def test_random_kernel_is_seeded_and_bounded():
     assert values_a == values_b
     assert values_a != values_c
     assert all(-9 <= v <= 9 for v in values_a)
+
+
+# ----------------------------------------------------------------- kernel rows
+
+
+def _sign(k):
+    return -1 if k % 2 else 1
+
+
+# each family's value at one point, from math.comb and the number functions
+_FAMILY_FORMULAS = [
+    (plain_kernel(), lambda n, k, a: _sign(k)),
+    (rising_kernel(), lambda n, k, a: _sign(k) * math.comb(a + k, k) * math.comb(a + n - k, n - k)),
+    (central_kernel(),
+     lambda n, k, a: _sign(k) * math.comb(2 * k, k) * math.comb(2 * (n - k), n - k)),
+    (supercat_kernel(2), lambda n, k, a: _sign(k) * super_catalan(k, 2) * super_catalan(n - k, 2)),
+    (half_supercat_kernel(3),
+     lambda n, k, a: _sign(k) * half_super_catalan(k, 3) * half_super_catalan(n - k, 3)),
+    (gessel_kernel(2), lambda n, k, a: _sign(k) * gessel(k, 2) * gessel(n - k, 2)),
+]
+
+
+@pytest.mark.parametrize("kern,formula", _FAMILY_FORMULAS, ids=lambda x: getattr(x, "label", ""))
+def test_family_rows_match_formulas(kern, formula):
+    for n in range(9):
+        for a in range(3):
+            row = kern.row(n, a)
+            assert isinstance(row, tuple)
+            assert row == tuple(formula(n, k, a) for k in range(n + 1))
+            assert row == tuple(kern(n, k, a) for k in range(n + 1))
+
+
+def test_bumped_row_shifts_one_entry():
+    base = rising_kernel()
+    bumped = with_bump(base, (5, 3, 1), -4)
+    expected = list(base.row(5, 1))
+    expected[3] -= 4
+    assert bumped.row(5, 1) == tuple(expected)
+    assert bumped.row(5, 0) == base.row(5, 0)  # other a
+    assert bumped.row(4, 1) == base.row(4, 1)  # other n
+    # a bump outside the row's k range changes nothing
+    assert with_bump(base, (5, 6, 1), 9).row(5, 1) == base.row(5, 1)
+
+
+def test_custom_and_random_rows_read_the_table():
+    table = {(3, k, 2): 10 * k - 7 for k in range(4)}
+    assert custom_kernel(table).row(3, 2) == (-7, 3, 13, 23)
+    kern = random_kernel(random.Random(5), 4, 1)
+    for n in range(5):
+        for a in range(2):
+            assert kern.row(n, a) == tuple(kern.table[(n, k, a)] for k in range(n + 1))
+
+
+def test_custom_row_miss_raises():
+    kern = custom_kernel({(2, 0, 0): 1, (2, 1, 0): 2})
+    with pytest.raises(KernelDomainError, match="k=2"):
+        kern.row(2, 0)
+    with pytest.raises(KernelDomainError):
+        kern(2, 0, 0)  # a point call reads the whole row
+    with pytest.raises(KernelDomainError):
+        kern.row(1, 0)
+    with pytest.raises(KernelDomainError):
+        plain_kernel().row(-1, 0)
+    with pytest.raises(KernelDomainError):
+        plain_kernel().row(2, -1)
+
+
+def test_binomial_pair_row_from_table():
+    g = random_kernel(random.Random(11), 6, 2)
+    for n in range(7):
+        for a in range(3):
+            pair = binomial_pair_kernel(g, n, a)
+            assert pair.row(n, a) == tuple(
+                math.comb(a + k, a) * math.comb(a + n - k, a) * g.table[(n, k, a)]
+                for k in range(n + 1)
+            )
+
+
+def test_rows_at_n_zero():
+    assert plain_kernel().row(0, 0) == (1,)
+    assert gessel_kernel(2).row(0, 1) == (gessel(0, 2) ** 2,)
+    assert custom_kernel({(0, 0, 0): -3}).row(0, 0) == (-3,)
 
 
 # ------------------------------------------------------------------ direct_sum
@@ -284,6 +369,84 @@ def test_m_sum_validation():
         m_sum(plain_kernel(), 4, 0, -1, 0)
     with pytest.raises(ValueError):
         m_sum(plain_kernel(), 4, 0, 0, -1)
+
+
+# ---------------------------------------------------------------- vector forms
+
+
+def _ref_m_sum(kern, n, j, t, a):
+    """The M-sum by its defining sum, one kernel point at a time."""
+    if 2 * j > n:
+        return 0
+    return math.comb(n - j, j) * sum(
+        math.comb(n - 2 * j, k - j) * math.comb(n, k) ** t * kern(n, k, a)
+        for k in range(j, n - j + 1)
+    )
+
+
+@settings(max_examples=40)
+@given(_table_strategy(), st.integers(0, 8), st.integers(0, 3))
+def test_m_sum_vector_is_the_list_of_m_sums(kern, n, t):
+    vector = m_sum_vector(kern.row(n, 0), t)
+    assert len(vector) == n // 2 + 1
+    assert vector == tuple(m_sum(kern, n, j, t, 0) for j in range(n // 2 + 1))
+    assert vector == tuple(_ref_m_sum(kern, n, j, t, 0) for j in range(n // 2 + 1))
+
+
+@settings(max_examples=40)
+@given(_table_strategy(), st.integers(0, 8), st.integers(0, 3))
+def test_lift_vector_is_the_list_of_lifts(kern, n, t):
+    lifted = m_sum_lift_vector(m_sum_vector(kern.row(n, 0), t), n)
+    assert lifted == tuple(m_sum_lift(kern, n, j, t, 0) for j in range(n // 2 + 1))
+    assert lifted == tuple(_ref_m_sum(kern, n, j, t + 1, 0) for j in range(n // 2 + 1))
+
+
+@settings(max_examples=30)
+@given(
+    st.builds(lambda seed: random_kernel(random.Random(seed), 8, 3), st.integers(0, 2**16)),
+    st.integers(0, 8),
+    st.integers(0, 3),
+)
+def test_transplant_vector_is_the_list_of_transplants(g, n, a):
+    moved = theorem2_transform_vector(m_sum_vector(g.row(n, a), 0), n, a)
+    assert len(moved) == n + 1
+    assert moved == tuple(theorem2_transform(g, n, j, a) for j in range(n + 1))
+    dressed = binomial_pair_kernel(g, n, a)
+    assert moved == tuple(_ref_m_sum(dressed, n, j, 0, a) for j in range(n + 1))
+
+
+def test_vector_forms_at_n_zero_and_odd_n():
+    kern = custom_kernel({(0, 0, 0): 7})
+    assert m_sum_vector(kern.row(0, 0), 3) == (7,)
+    assert m_sum_lift_vector((7,), 0) == (7,)
+    assert theorem2_transform_vector((7,), 0, 0) == (7,)
+    odd = central_kernel()
+    for n in (1, 3, 5, 7):
+        vector = m_sum_vector(odd.row(n, 0), 1)
+        assert len(vector) == n // 2 + 1
+        assert m_sum_lift_vector(vector, n) == m_sum_vector(odd.row(n, 0), 2)
+
+
+def test_vector_forms_reject_a_vector_of_the_wrong_length():
+    with pytest.raises(ValueError):
+        m_sum_lift_vector((1, 2), 6)
+    with pytest.raises(ValueError):
+        theorem2_transform_vector((1, 2, 3, 4), 5, 1)
+    with pytest.raises(ValueError):
+        m_sum_vector((1, 2, 3), -1)
+    with pytest.raises(ValueError):
+        m_sum_vector((), 0)
+
+
+def test_offsets_past_half_read_no_kernel_value():
+    # the table has no row at n = 4: any read would raise KernelDomainError
+    sparse = custom_kernel({(0, 0, 0): 1})
+    for j in (3, 4, 9):
+        assert m_sum(sparse, 4, j, 1, 0) == 0
+        assert m_sum_lift(sparse, 4, j, 1, 0) == 0
+        assert theorem2_transform(sparse, 4, j, 1) == 0
+    with pytest.raises(KernelDomainError):
+        theorem2_transform(sparse, 4, 2, 1)
 
 
 # ---------------------------------------------------------- kernel transplant

@@ -12,7 +12,8 @@ import json
 
 import pytest
 
-from convolvium.kernels import KernelFamily
+from convolvium import verify
+from convolvium.kernels import KernelFamily, with_bump
 from convolvium.verify import (
     FUZZ_KERNEL_COUNT,
     KernelBump,
@@ -229,6 +230,66 @@ def test_kernel_bump_validation():
         KernelBump(KernelFamily.PLAIN, 2, (0, 0, 0), 1)
     with pytest.raises(ValueError):
         KernelBump(KernelFamily.PLAIN, None, (0, 0, 0), 0)
+
+
+# ---------------------------------------------------------------- independence
+#
+# Each identity suite computes its two sides by separate code: the direct
+# side from the kernel row, the recurrence side from the lower-level vector
+# only. Corrupting either side alone must surface as a violation; a check
+# that compared a value with itself would stay green.
+
+_SIDES = SweepRange(n_max=4, m_max=2, r_max=1, a_max=1)
+
+
+def _shift_first(fn, *, skip=lambda *args: False):
+    def shifted(*args):
+        out = fn(*args)
+        return out if skip(*args) else (out[0] + 1, *out[1:])
+
+    return shifted
+
+
+def test_eq8_sees_a_corrupted_lift(monkeypatch):
+    assert run_suite("eq8", _SIDES).passed
+    monkeypatch.setattr(verify, "m_sum_lift_vector", _shift_first(verify.m_sum_lift_vector))
+    assert not run_suite("eq8", _SIDES).passed
+
+
+def test_eq8_sees_a_corrupted_direct_level(monkeypatch):
+    # levels t >= 1 are the direct side; level 0 only feeds the lift
+    shifted = _shift_first(verify.m_sum_vector, skip=lambda row, t: t == 0)
+    monkeypatch.setattr(verify, "m_sum_vector", shifted)
+    assert not run_suite("eq8", _SIDES).passed
+
+
+def test_thm2_sees_a_corrupted_transplant(monkeypatch):
+    assert run_suite("thm2", _SIDES).passed
+    monkeypatch.setattr(
+        verify, "theorem2_transform_vector", _shift_first(verify.theorem2_transform_vector)
+    )
+    assert not run_suite("thm2", _SIDES).passed
+
+
+def test_thm2_sees_a_corrupted_dressed_kernel(monkeypatch):
+    real = verify.binomial_pair_kernel
+    monkeypatch.setattr(
+        verify, "binomial_pair_kernel", lambda g, n, a: with_bump(real(g, n, a), (n, 0, a), 1)
+    )
+    assert not run_suite("thm2", _SIDES).passed
+
+
+@pytest.mark.parametrize("side", ["direct_sum", "m_sum"])
+def test_eq7_sees_either_side_corrupted(monkeypatch, side):
+    real = getattr(verify, side)
+    monkeypatch.setattr(verify, side, lambda *args: real(*args) + 1)
+    assert not run_suite("eq7", _SIDES).passed
+
+
+def test_run_all_rejects_a_malformed_budget(monkeypatch):
+    monkeypatch.setenv("CONVOLVIUM_BUDGET_MS", "abc")
+    with pytest.raises(ValueError, match="CONVOLVIUM_BUDGET_MS"):
+        run_all(_TRIM)
 
 
 # ----------------------------------------------------------------- serializers
