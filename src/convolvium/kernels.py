@@ -14,7 +14,8 @@ by (-1)^k itself. The built-in families:
 Kernels are evaluated a row at a time: `Kernel.row(n, a)` gives F(n, k, a)
 for k = 0..n, and a point call reads its value out of that row. Every
 built-in family is (-1)^k f(k) f(n-k) for one factor f, so a row costs n+1
-evaluations of f.
+evaluations of f. `binomial_pair_row` dresses a row with the weights
+binomial(a+k, a) binomial(a+n-k, a), which are built once per (n, a).
 
 The `bump` field is a fault-injection hook for the verifier's sensitivity
 tests: it adds a delta to the kernel's value at exactly one point, applied
@@ -26,7 +27,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Callable, Mapping
+from functools import lru_cache
+from operator import mul
+from typing import Callable, Mapping, Sequence
 
 from .exact import binomial, gessel, half_super_catalan, super_catalan
 
@@ -170,13 +173,27 @@ def with_bump(kernel: Kernel, point: Point, delta: int = 1) -> Kernel:
     return replace(kernel, bump=(point, delta))
 
 
+@lru_cache(maxsize=256)
+def _pair_weights(n: int, a: int) -> tuple[int, ...]:
+    """binomial(a+k, a) binomial(a+n-k, a) for k = 0..n. A thm2 sweep dresses
+    one row per random kernel at every (n, a), so each vector is read once
+    per kernel; the bound covers a default sweep's slices."""
+    return tuple([binomial(a + k, a) * binomial(a + n - k, a) for k in range(n + 1)])
+
+
+def binomial_pair_row(row: Sequence[int], a: int) -> tuple[int, ...]:
+    """The row H(n, 0..n, a) of H(n, k, a) = binomial(a+k, a) binomial(a+n-k, a)
+    G(n, k, a), from G's row (G(n, 0, a), ..., G(n, n, a))."""
+    if not row or a < 0:
+        raise ValueError(f"a binomial pair needs a non-empty row and a >= 0, got a={a}")
+    return tuple(map(mul, _pair_weights(len(row) - 1, a), row))
+
+
 def binomial_pair_kernel(g: Kernel, n: int, a: int) -> Kernel:
     """The kernel H(n, k, a) = binomial(a+k, a) binomial(a+n-k, a) G(n, k, a),
     materialized as a custom table over the single slice (n, a)."""
-    row = g.row(n, a)
-    return custom_kernel(
-        {(n, k, a): binomial(a + k, a) * binomial(a + n - k, a) * row[k] for k in range(n + 1)}
-    )
+    h = binomial_pair_row(g.row(n, a), a)
+    return custom_kernel({(n, k, a): value for k, value in enumerate(h)})
 
 
 def random_kernel(rng: random.Random, n_max: int, a_max: int) -> Kernel:

@@ -24,6 +24,10 @@ level up from one level-t vector, and `theorem2_transform_vector` the
 transplant at j = 0..n from one level-0 vector of G. The scalar functions
 are views over the same per-offset code.
 
+Coefficients that depend only on indices come from bounded caches, each
+entry one O(n) row: `_pascal(n)` holds binomial(n, 0..n) and
+`_transplant_weights(n, j, a)` the a+1 transplant coefficients of one offset.
+
 Sums are evaluated in ascending k with plain integer arithmetic; there are no
 floating-point or modular shortcuts anywhere.
 """
@@ -65,12 +69,15 @@ def direct_sum(kernel: Kernel, n: int, m: int, a: int = 0) -> int:
     return sum(c**m * f for c, f in zip(_pascal(n), kernel.row(n, a)))
 
 
-def _weigh(row: Sequence[int], t: int) -> list[int]:
-    """binomial(n, k)^t F(n, k, a) for k = 0..n, from the row F(n, ., a)."""
+def _weigh(row: Sequence[int], t: int) -> Sequence[int]:
+    """binomial(n, k)^t F(n, k, a) for k = 0..n, from the row F(n, ., a); at
+    t = 0 the row itself."""
+    if t == 0:
+        return row
     return [c**t * f for c, f in zip(_pascal(len(row) - 1), row)]
 
 
-def _m_sum_at(weighted: list[int], n: int, j: int) -> int:
+def _m_sum_at(weighted: Sequence[int], n: int, j: int) -> int:
     """The offset-j M-sum (2j <= n) from the weighted row."""
     inner = sum(map(mul, _pascal(n - 2 * j), weighted[j : n - j + 1]))
     return comb(n - j, j) * inner
@@ -84,7 +91,7 @@ def m_sum_vector(row: Sequence[int], t: int) -> tuple[int, ...]:
         raise ValueError("a kernel row has at least one entry")
     n = len(row) - 1
     weighted = _weigh(row, t)
-    return tuple(_m_sum_at(weighted, n, j) for j in range(n // 2 + 1))
+    return tuple([_m_sum_at(weighted, n, j) for j in range(n // 2 + 1)])
 
 
 def m_sum(kernel: Kernel, n: int, j: int, t: int, a: int = 0) -> int:
@@ -113,7 +120,7 @@ def m_sum_lift_vector(level: Sequence[int], n: int) -> tuple[int, ...]:
     j reads the level-t offsets j..n//2."""
     _check_args(n=n)
     _check_level(level, n)
-    return tuple(_lift_at(level, n, j) for j in range(n // 2 + 1))
+    return tuple([_lift_at(level, n, j) for j in range(n // 2 + 1)])
 
 
 def m_sum_lift(kernel: Kernel, n: int, j: int, t: int, a: int = 0) -> int:
@@ -125,21 +132,32 @@ def m_sum_lift(kernel: Kernel, n: int, j: int, t: int, a: int = 0) -> int:
     return _lift_at(m_sum_vector(kernel.row(n, a), t), n, j)
 
 
-def _transplant_at(level0: Sequence[int], n: int, j: int, a: int) -> int:
-    total = sum(
-        comb(n - j + l, l) * comb(n - j, a - l) * level0[j + a - l]
-        for l in range(a + 1)
-        if 2 * (j + a - l) <= n
-    )
-    return comb(a + j, a) * total
+@lru_cache(maxsize=1024)
+def _transplant_weights(n: int, j: int, a: int) -> tuple[int, ...]:
+    """The coefficients of G's level-0 offsets j+u, u = 0..min(a, n//2 - j),
+    in the offset-j transplant (2j <= n): binomial(a+j, a) binomial(n-j+l, l)
+    binomial(n-j, a-l) at l = a-u. A thm2 sweep reads each (n, j, a) once per
+    random kernel; an entry holds at most a+1 integers."""
+    lead = comb(a + j, a)
+    top = min(a, n // 2 - j)
+    return tuple([lead * comb(n - j + a - u, a - u) * comb(n - j, u) for u in range(top + 1)])
+
+
+def _transplant_at(tail: Sequence[int], n: int, j: int, a: int) -> int:
+    """The offset-j transplant (2j <= n) from G's level-0 M-sums at offsets
+    j, j+1, ... (`tail`, at least min(a, n//2 - j) + 1 of them)."""
+    return sum(map(mul, _transplant_weights(n, j, a), tail))
 
 
 def theorem2_transform_vector(level0: Sequence[int], n: int, a: int) -> tuple[int, ...]:
     """The kernel-transplant recurrence at every offset j = 0..n, from the
-    level-0 M-sums `level0` (offsets 0..n//2) of G at (n, a)."""
+    level-0 M-sums `level0` (offsets 0..n//2) of G at (n, a). Offsets past
+    n/2 are 0."""
     _check_args(n=n, a=a)
     _check_level(level0, n)
-    return tuple(_transplant_at(level0, n, j, a) for j in range(n + 1))
+    half = n // 2
+    moved = [_transplant_at(level0[j : j + a + 1], n, j, a) for j in range(half + 1)]
+    return tuple(moved + [0] * (n - half))
 
 
 def theorem2_transform(g_kernel: Kernel, n: int, j: int, a: int) -> int:
@@ -151,14 +169,17 @@ def theorem2_transform(g_kernel: Kernel, n: int, j: int, a: int) -> int:
         binomial(a+j, a) * sum_{l=0}^{a}
             binomial(n-j+l, l) binomial(n-j, a-l) M_G(n, j+a-l, 0; a)
 
-    which this evaluates from the G side. Offsets past n/2 yield 0 without
-    reading G: every M-sum of G the sum needs sits at an offset >= j, where
-    it vanishes.
+    which this evaluates from the G side, reading only the offsets
+    j..min(j+a, n//2) of G's level-0 M-sums: O(a n) work. Offsets past n/2
+    yield 0 without reading G: every M-sum of G the sum needs sits at an
+    offset >= j, where it vanishes.
     """
     _check_args(n=n, j=j, a=a)
     if 2 * j > n:
         return 0
-    return _transplant_at(m_sum_vector(g_kernel.row(n, a), 0), n, j, a)
+    row = g_kernel.row(n, a)
+    tail = [_m_sum_at(row, n, i) for i in range(j, min(j + a, n // 2) + 1)]
+    return _transplant_at(tail, n, j, a)
 
 
 def gessel_convolution(n: int, m: int, r: int) -> int:

@@ -28,6 +28,7 @@ import random
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from operator import mul
 from typing import Callable
 
 from . import closed_forms as cf
@@ -48,6 +49,7 @@ from .kernels import (
     KernelFamily,
     Point,
     binomial_pair_kernel,
+    binomial_pair_row,
     random_kernel,
     with_bump,
 )
@@ -380,13 +382,13 @@ def _run_eq8(ctx: _SuiteCtx) -> None:
 
 
 def _transplant_sides(
-    h: Kernel, g: Kernel, n: int, a: int
+    h_row: tuple[int, ...], g_row: tuple[int, ...], n: int, a: int
 ) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Offsets j = 0..n of the level-0 M-sums of the dressed kernel h, read
     from h's row, and of their transplant, read from g's level-0 vector
     alone."""
-    direct = m_sum_vector(h.row(n, a), 0) + (0,) * (n - n // 2)
-    moved = theorem2_transform_vector(m_sum_vector(g.row(n, a), 0), n, a)
+    direct = m_sum_vector(h_row, 0) + (0,) * (n - n // 2)
+    moved = theorem2_transform_vector(m_sum_vector(g_row, 0), n, a)
     return direct, moved
 
 
@@ -397,7 +399,8 @@ def _run_thm2(ctx: _SuiteCtx) -> None:
         g = random_kernel(rng, p["n_max"], p["a_max"])
         for n in range(p["n_max"] + 1):
             for a in range(p["a_max"] + 1):
-                direct, moved = _transplant_sides(binomial_pair_kernel(g, n, a), g, n, a)
+                g_row = g.row(n, a)
+                direct, moved = _transplant_sides(binomial_pair_row(g_row, a), g_row, n, a)
                 for j in range(n + 1):
                     ctx.equal(
                         {"kernel": f"custom[{i}]", "n": n, "j": j, "a": a},
@@ -412,10 +415,11 @@ def _run_thm2(ctx: _SuiteCtx) -> None:
         g = ctx.mk(KernelFamily.HALF_SUPERCAT, r)
         q = ctx.mk(KernelFamily.GESSEL, r)
         for h in range(h_max + 1):
-            direct, moved = _transplant_sides(q, g, 2 * h, r - 1)
+            n, a = 2 * h, r - 1
+            direct, moved = _transplant_sides(q.row(n, a), g.row(n, a), n, a)
             for j in range(h + 1):
                 ctx.equal(
-                    {"kernel": f"gessel({r})", "n": 2 * h, "j": j, "a": r - 1},
+                    {"kernel": f"gessel({r})", "n": n, "j": j, "a": a},
                     direct[j],
                     moved[j],
                 )
@@ -452,17 +456,28 @@ def _run_eq2_eq4(ctx: _SuiteCtx) -> None:
 
 def _run_stanley(ctx: _SuiteCtx) -> None:
     top = ctx.params["n_max"]
+    # pascal[N][i] = binomial(N, i) for N <= 3*top, zero past i = N, so an
+    # index anywhere in the box reads the vanishing convention
+    width = 3 * top + 1
+    pascal = [
+        [binomial(big, i) for i in range(big + 1)] + [0] * (width - big - 1)
+        for big in range(width)
+    ]
+    # falling[x][y] = (binomial(x, y), binomial(x, y-1), ..., binomial(x, 0))
+    falling = [[row[y::-1] for y in range(top + 1)] for row in pascal[: top + 1]]
     for a in range(top + 1):
         for b in range(top + 1):
+            # binomial(a+b+k, k) for k = 0..top
+            rising = [pascal[a + b + k][k] for k in range(top + 1)]
             for m in range(top + 1):
+                from_a = falling[a][m]
+                rhs_row = pascal[b + m]
                 for n in range(top + 1):
-                    lhs = sum(
-                        binomial(a, m - k) * binomial(b, n - k) * binomial(a + b + k, k)
-                        for k in range(min(m, n) + 1)
-                    )
+                    # the map stops at k = min(m, n), where one slice runs out
+                    lhs = sum(map(mul, map(mul, from_a, falling[b][n]), rising))
                     ctx.equal(
                         {"a": a, "b": b, "m": m, "n": n},
-                        binomial(a + n, m) * binomial(b + m, n),
+                        pascal[a + n][m] * rhs_row[n],
                         lhs,
                     )
 

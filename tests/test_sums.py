@@ -12,8 +12,10 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+
+from convolvium import kernels, sums
 
 from convolvium.exact import (
     catalan,
@@ -28,6 +30,7 @@ from convolvium.kernels import (
     KernelDomainError,
     KernelFamily,
     binomial_pair_kernel,
+    binomial_pair_row,
     central_kernel,
     custom_kernel,
     gessel_kernel,
@@ -477,3 +480,110 @@ def test_transplant_gessel_instance():
 def test_transplant_offset_past_n_is_zero():
     g = custom_kernel({(2, k, 1): 1 for k in range(3)})
     assert theorem2_transform(g, 2, 3, 1) == 0
+
+
+def test_scalar_transplant_is_the_vector_entry():
+    # every offset j <= n, j > n/2 included, where the scalar form must not
+    # read the kernel at all (the sparse table has no row at n)
+    g = random_kernel(random.Random(5), 9, 6)
+    sparse = custom_kernel({(0, 0, 0): 1})
+    for n in range(10):
+        for a in range(7):
+            moved = theorem2_transform_vector(m_sum_vector(g.row(n, a), 0), n, a)
+            for j in range(n + 1):
+                assert theorem2_transform(g, n, j, a) == moved[j]
+                if 2 * j > n:
+                    assert theorem2_transform(sparse, n, j, a) == 0
+
+
+def test_scalar_transplant_reads_only_the_offsets_it_needs(monkeypatch):
+    # offset j reads G's level-0 M-sums at j..min(j+a, n/2): a+1 of them at
+    # most, not the whole vector
+    calls = []
+    real = sums._m_sum_at
+    monkeypatch.setattr(sums, "_m_sum_at", lambda w, n, i: calls.append(i) or real(w, n, i))
+    g = central_kernel()
+    for n, j, a in ((60, 3, 2), (60, 29, 4), (61, 0, 0), (9, 1, 6)):
+        calls.clear()
+        theorem2_transform(g, n, j, a)
+        assert calls == list(range(j, min(j + a, n // 2) + 1))
+
+
+# ----------------------------------------------------------- coefficient tables
+#
+# The vector forms and the dressed row read binomial coefficients from
+# bounded caches. These references recompute every coefficient with
+# math.comb in the test itself, one term at a time.
+
+
+def _comb_level(row, t):
+    n = len(row) - 1
+    return tuple(
+        math.comb(n - j, j)
+        * sum(
+            math.comb(n - 2 * j, k - j) * math.comb(n, k) ** t * row[k]
+            for k in range(j, n - j + 1)
+        )
+        for j in range(n // 2 + 1)
+    )
+
+
+def _comb_dressed(row, a):
+    n = len(row) - 1
+    return tuple(math.comb(a + k, a) * math.comb(a + n - k, a) * row[k] for k in range(n + 1))
+
+
+def _comb_transplant(level0, n, a):
+    out = []
+    for j in range(n + 1):
+        total = sum(
+            math.comb(n - j + l, l) * math.comb(n - j, a - l) * level0[j + a - l]
+            for l in range(a + 1)
+            if 2 * (j + a - l) <= n
+        )
+        out.append(math.comb(a + j, a) * total)
+    return tuple(out)
+
+
+_rows = st.lists(st.integers(-(10**6), 10**6), min_size=1, max_size=41)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_rows, st.integers(0, 6), st.integers(0, 3))
+@example([7], 0, 0)  # n = 0
+@example([3, -1, 4, -1, 5, -9], 2, 1)  # odd n
+@example([2, 7, -1, 8], 5, 3)  # a > n // 2
+@example(list(range(-20, 21)), 6, 3)  # n = 40
+def test_tables_match_comb_references(row, a, t):
+    n = len(row) - 1
+    assert m_sum_vector(row, t) == _comb_level(row, t)
+    assert m_sum_lift_vector(_comb_level(row, t), n) == _comb_level(row, t + 1)
+    dressed = binomial_pair_row(row, a)
+    assert dressed == _comb_dressed(row, a)
+    level0 = _comb_level(row, 0)
+    moved = theorem2_transform_vector(level0, n, a)
+    assert moved == _comb_transplant(level0, n, a)
+    # theorem 2 itself: the transplant is the dressed row's level-0 vector
+    assert moved == _comb_level(dressed, 0) + (0,) * (n - n // 2)
+
+
+def test_binomial_pair_row_validation():
+    with pytest.raises(ValueError):
+        binomial_pair_row((), 0)
+    with pytest.raises(ValueError):
+        binomial_pair_row((1, 2), -1)
+
+
+def test_coefficient_caches_are_bounded():
+    new_caches = (kernels._pair_weights, sums._transplant_weights)
+    for cache in (*new_caches, sums._pascal):
+        assert cache.cache_info().maxsize is not None
+    # a scalar M-sum at a large n adds no entry to either new cache, and
+    # only the two O(n) Pascal rows it reads (n for the weights, n - 2j for
+    # the inner sum) to the older one; never an O(n^2) table
+    before = [cache.cache_info().misses for cache in (*new_caches, sums._pascal)]
+    m_sum(central_kernel(), 1500, 3, 1)
+    after = [cache.cache_info().misses for cache in (*new_caches, sums._pascal)]
+    added = [b - a for a, b in zip(before, after)]
+    assert added[0] <= 1 and added[1] <= 1
+    assert added[2] <= 2

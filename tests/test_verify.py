@@ -8,12 +8,13 @@ Trimmed ranges keep every run here fast.
 
 from __future__ import annotations
 
+import hashlib
 import json
 
 import pytest
 
 from convolvium import verify
-from convolvium.kernels import KernelFamily, with_bump
+from convolvium.kernels import KernelFamily
 from convolvium.verify import (
     FUZZ_KERNEL_COUNT,
     KernelBump,
@@ -272,11 +273,22 @@ def test_thm2_sees_a_corrupted_transplant(monkeypatch):
 
 
 def test_thm2_sees_a_corrupted_dressed_kernel(monkeypatch):
-    real = verify.binomial_pair_kernel
-    monkeypatch.setattr(
-        verify, "binomial_pair_kernel", lambda g, n, a: with_bump(real(g, n, a), (n, 0, a), 1)
-    )
+    # the dressed row is the direct side: shift its k = 0 entry
+    monkeypatch.setattr(verify, "binomial_pair_row", _shift_first(verify.binomial_pair_row))
     assert not run_suite("thm2", _SIDES).passed
+
+
+def test_stanley_sees_a_corrupted_binomial(monkeypatch):
+    # stanley reads every binomial from one Pascal table built per run; a
+    # single wrong entry must still surface, exactly as often as it did when
+    # each term called binomial itself
+    assert run_suite("stanley").passed
+    real = verify.binomial
+    monkeypatch.setattr(
+        verify, "binomial", lambda n, k: real(n, k) + (1 if (n, k) == (5, 2) else 0)
+    )
+    rep = run_suite("stanley")
+    assert len(rep.violations) == 1602
 
 
 @pytest.mark.parametrize("side", ["direct_sum", "m_sum"])
@@ -284,6 +296,20 @@ def test_eq7_sees_either_side_corrupted(monkeypatch, side):
     real = getattr(verify, side)
     monkeypatch.setattr(verify, side, lambda *args: real(*args) + 1)
     assert not run_suite("eq7", _SIDES).passed
+
+
+# sha256 of `reports_to_json(run_all(bump=...))` for this gessel(2) bump at
+# the default ranges and seed: pins the order and content of violations in a
+# failing run, as the CLI golden does for a green one
+_GOLDEN_FAILING_RUN_SHA256 = "56a6ef51c92feac53f422dd77a46d7902b70da188203c52aedc6075f50d0ff5d"
+
+
+def test_failing_run_matches_golden_digest(monkeypatch):
+    monkeypatch.delenv("CONVOLVIUM_BUDGET_MS", raising=False)
+    bump = KernelBump(KernelFamily.GESSEL, 2, (6, 1, 1), 1)
+    text = reports_to_json(run_all(bump=bump))
+    assert json.loads(text)["total_violations"] > 0
+    assert hashlib.sha256(text.encode()).hexdigest() == _GOLDEN_FAILING_RUN_SHA256
 
 
 def test_run_all_rejects_a_malformed_budget(monkeypatch):
