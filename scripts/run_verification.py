@@ -12,7 +12,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from convolvium.verify import SweepRange, reports_to_json, run_all
+from convolvium.verify import DEFAULT_SEED, SweepRange, reports_to_json, run_all
 
 
 def parse_args(argv: list[str] | None = None) -> argparse.Namespace:
@@ -21,8 +21,7 @@ def parse_args(argv: list[str] | None = None) -> argparse.Namespace:
     parser.add_argument("--m-max", type=int, default=None)
     parser.add_argument("--r-max", type=int, default=None)
     parser.add_argument("--a-max", type=int, default=None)
-    parser.add_argument("--seed", type=int, default=0x5EED)
-    parser.add_argument("--jobs", type=int, default=1)
+    parser.add_argument("--seed", type=int, default=DEFAULT_SEED)
     parser.add_argument("--json", type=Path, default=None, metavar="PATH",
                         help="also write the aggregate JSON report here")
     parser.add_argument("--timings", action="store_true",
@@ -36,7 +35,7 @@ def main(argv: list[str] | None = None) -> int:
         n_max=args.n_max, m_max=args.m_max, r_max=args.r_max, a_max=args.a_max,
         seed=args.seed,
     )
-    reports = run_all(sweep, jobs=args.jobs)
+    reports = run_all(sweep)
     width = max(len(rep.suite) for rep in reports)
     for rep in reports:
         status = "PASS" if rep.passed else "FAIL"

@@ -26,14 +26,7 @@ from .exact import (
     half_super_catalan,
     super_catalan,
 )
-from .kernels import (
-    Kernel,
-    central_kernel,
-    gessel_kernel,
-    plain_kernel,
-    rising_kernel,
-    supercat_kernel,
-)
+from .kernels import PARAMETERIZED_FAMILIES, Kernel, KernelFamily
 from .sums import m_sum
 
 
@@ -60,6 +53,19 @@ FAMILY_PARAMS: dict[ClosedFormFamily, tuple[str, ...]] = {
     ClosedFormFamily.PSI_T1: ("n", "j", "r"),
     ClosedFormFamily.PHI_J_T0: ("n", "j", "r"),
     ClosedFormFamily.PHI_00: ("n", "r"),
+}
+
+# the M-sum each family equals: (kernel family, weight level t)
+FAMILY_MSUM: dict[ClosedFormFamily, tuple[KernelFamily, int]] = {
+    ClosedFormFamily.S1_T0: (KernelFamily.PLAIN, 0),
+    ClosedFormFamily.S1_T1: (KernelFamily.PLAIN, 1),
+    ClosedFormFamily.S2_T0: (KernelFamily.RISING, 0),
+    ClosedFormFamily.S2_T1: (KernelFamily.RISING, 1),
+    ClosedFormFamily.S3_T0: (KernelFamily.CENTRAL, 0),
+    ClosedFormFamily.PSI_T0: (KernelFamily.SUPERCAT, 0),
+    ClosedFormFamily.PSI_T1: (KernelFamily.SUPERCAT, 1),
+    ClosedFormFamily.PHI_J_T0: (KernelFamily.GESSEL, 0),
+    ClosedFormFamily.PHI_00: (KernelFamily.GESSEL, 0),
 }
 
 
@@ -245,25 +251,17 @@ def msum_counterpart(
 ) -> int:
     """The M-sum each family's closed form must equal, evaluated directly.
 
-    `kernel` overrides the family's standard kernel (the verifier uses this
-    to thread fault-injected kernels through)."""
+    The kernel and level come from FAMILY_MSUM. The supercat-type kernels
+    are summed at a = r - 1; a family that takes no `a` (or no `j`) is summed
+    at 0. `kernel` overrides the family's standard kernel (the verifier uses
+    this to thread fault-injected kernels through)."""
     family = ClosedFormFamily(family)
-    if family in (ClosedFormFamily.S1_T0, ClosedFormFamily.S1_T1):
-        kern = kernel or plain_kernel()
-        t = 0 if family is ClosedFormFamily.S1_T0 else 1
-        return m_sum(kern, 2 * n, j, t, 0)
-    if family in (ClosedFormFamily.S2_T0, ClosedFormFamily.S2_T1):
-        kern = kernel or rising_kernel()
-        t = 0 if family is ClosedFormFamily.S2_T0 else 1
-        return m_sum(kern, 2 * n, j, t, a)
-    if family is ClosedFormFamily.S3_T0:
-        kern = kernel or central_kernel()
-        return m_sum(kern, 2 * n, j, 0, 0)
-    if family in (ClosedFormFamily.PSI_T0, ClosedFormFamily.PSI_T1):
-        kern = kernel or supercat_kernel(r)
-        t = 0 if family is ClosedFormFamily.PSI_T0 else 1
-        return m_sum(kern, 2 * n, j, t, r - 1)
-    kern = kernel or gessel_kernel(r)
-    if family is ClosedFormFamily.PHI_J_T0:
-        return m_sum(kern, 2 * n, j, 0, r - 1)
-    return m_sum(kern, 2 * n, 0, 0, r - 1)  # PHI_00
+    kfam, t = FAMILY_MSUM[family]
+    takes = FAMILY_PARAMS[family]
+    if kfam in PARAMETERIZED_FAMILIES:
+        kern = kernel or Kernel(kfam, order=r)
+        a = r - 1
+    else:
+        kern = kernel or Kernel(kfam)
+        a = a if "a" in takes else 0
+    return m_sum(kern, 2 * n, j if "j" in takes else 0, t, a)

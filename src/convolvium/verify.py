@@ -26,7 +26,6 @@ import json
 import os
 import random
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from operator import mul
 from typing import Callable
@@ -289,24 +288,11 @@ def _run_s3_div(ctx: _SuiteCtx) -> None:
             ctx.divides({"n": n, "m": m}, d, direct_sum(kern, 2 * n, m, 0))
 
 
-_FAMILY_KERNEL = {
-    cf.ClosedFormFamily.S1_T0: KernelFamily.PLAIN,
-    cf.ClosedFormFamily.S1_T1: KernelFamily.PLAIN,
-    cf.ClosedFormFamily.S2_T0: KernelFamily.RISING,
-    cf.ClosedFormFamily.S2_T1: KernelFamily.RISING,
-    cf.ClosedFormFamily.S3_T0: KernelFamily.CENTRAL,
-    cf.ClosedFormFamily.PSI_T0: KernelFamily.SUPERCAT,
-    cf.ClosedFormFamily.PSI_T1: KernelFamily.SUPERCAT,
-    cf.ClosedFormFamily.PHI_J_T0: KernelFamily.GESSEL,
-    cf.ClosedFormFamily.PHI_00: KernelFamily.GESSEL,
-}
-
-
 def _run_closed_forms(ctx: _SuiteCtx) -> None:
     p = ctx.params
     for family in cf.ClosedFormFamily:
         takes = cf.FAMILY_PARAMS[family]
-        kfam = _FAMILY_KERNEL[family]
+        kfam, _ = cf.FAMILY_MSUM[family]
         r_values = range(1, p["r_max"] + 1) if "r" in takes else (1,)
         a_values = range(p["a_max"] + 1) if "a" in takes else (0,)
         for n in range(p["n_max"] + 1):
@@ -846,7 +832,6 @@ def run_all(
     *,
     bump: KernelBump | None = None,
     budget_ms: float | None = None,
-    jobs: int = 1,
 ) -> list[VerificationReport]:
     """Run every registered suite, in registry order.
 
@@ -854,18 +839,17 @@ def run_all(
     CONVOLVIUM_BUDGET_MS raises ValueError (a usage error) instead of
     becoming one failing report per suite. A suite that raises (over budget,
     or a genuine bug) is converted into a failing report rather than aborting
-    the batch. jobs > 1 runs suites on a thread pool; reports still come back
-    in registry order.
+    the batch.
     """
     budget = _resolve_budget(budget_ms)
-
-    def one(name: str) -> VerificationReport:
+    reports = []
+    for name, spec in _REGISTRY.items():
         try:
-            return run_suite(name, sweep, bump=bump, budget_ms=budget)
+            report = run_suite(name, sweep, bump=bump, budget_ms=budget)
         except Exception as exc:
-            return VerificationReport(
+            report = VerificationReport(
                 suite=name,
-                claim=_REGISTRY[name].claim,
+                claim=spec.claim,
                 range={},
                 cases_checked=0,
                 violations=[
@@ -878,12 +862,8 @@ def run_all(
                 elapsed_ms=0.0,
                 notes=[f"suite aborted: {type(exc).__name__}"],
             )
-
-    names = list(_REGISTRY)
-    if jobs <= 1:
-        return [one(n) for n in names]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(one, names))
+        reports.append(report)
+    return reports
 
 
 def reports_to_json(reports: list[VerificationReport], *, include_timings: bool = False) -> str:

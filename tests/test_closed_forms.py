@@ -11,6 +11,7 @@ from __future__ import annotations
 import pytest
 
 from convolvium.closed_forms import (
+    FAMILY_MSUM,
     FAMILY_PARAMS,
     ClosedFormFamily,
     closed_form,
@@ -25,13 +26,20 @@ from convolvium.closed_forms import (
     closed_s3_t0,
     msum_counterpart,
 )
-from convolvium.kernels import custom_kernel
+from convolvium.kernels import PARAMETERIZED_FAMILIES, custom_kernel
 
 
 def test_every_family_has_a_parameter_signature():
     assert set(FAMILY_PARAMS) == set(ClosedFormFamily)
     for names in FAMILY_PARAMS.values():
         assert names[0] == "n"
+
+
+def test_every_family_has_one_msum_counterpart():
+    # a family takes r exactly when its kernel is parameterised by an order
+    assert set(FAMILY_MSUM) == set(ClosedFormFamily)
+    for family, (kfam, _) in FAMILY_MSUM.items():
+        assert ("r" in FAMILY_PARAMS[family]) == (kfam in PARAMETERIZED_FAMILIES)
 
 
 def test_pinned_spot_values():
@@ -61,15 +69,13 @@ def test_phi_origin_agrees_with_offset_form_at_zero():
 
 @pytest.mark.parametrize("family", list(ClosedFormFamily))
 def test_closed_form_equals_m_sum(family):
-    takes = FAMILY_PARAMS[family]
-    r_values = range(1, 4) if "r" in takes else (1,)
-    a_values = range(4) if "a" in takes else (0,)
+    # every family gets every parameter: both sides must ignore the ones
+    # outside FAMILY_PARAMS[family]
     for n in range(6):
         # one offset past the half index probes the vanishing region
-        j_values = range(n + 2) if "j" in takes else (0,)
-        for j in j_values:
-            for r in r_values:
-                for a in a_values:
+        for j in range(n + 2):
+            for r in range(1, 4):
+                for a in range(4):
                     expected = msum_counterpart(family, n=n, j=j, r=r, a=a)
                     actual = closed_form(family, n=n, j=j, r=r, a=a)
                     assert actual == expected, (family, n, j, r, a)

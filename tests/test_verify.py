@@ -134,11 +134,8 @@ def test_run_all_converts_errors_to_failing_reports():
     assert violation["actual"].startswith("RangeTooLarge")
 
 
-def test_run_all_order_and_parallel_merge():
-    sequential = run_all(_TRIM)
-    parallel = run_all(_TRIM, jobs=4)
-    assert [r.suite for r in sequential] == list(suite_names())
-    assert reports_to_json(sequential) == reports_to_json(parallel)
+def test_run_all_registry_order():
+    assert [r.suite for r in run_all(_TRIM)] == list(suite_names())
 
 
 def test_json_byte_identity_across_runs():
