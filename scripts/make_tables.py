@@ -1,26 +1,20 @@
 #!/usr/bin/env python3
 """Emit reference CSV tables for the core number families.
 
-Writes one file per quantity into --out-dir.  Values go through
-exact.decimal so tables with thousands of digits per entry do not trip
-CPython's int-to-str guard.
+Writes one file per quantity into --out-dir, each the output of one
+`convolvium table` call (Catalan, super Catalan, Gessel, clearing factors,
+and the phi/psi grids at every weight up to --m-max).
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
+import contextlib
+import io
 import sys
 from pathlib import Path
 
-from convolvium.exact import (
-    catalan,
-    decimal,
-    gessel,
-    smallest_clearing_factor,
-    super_catalan,
-)
-from convolvium.sums import gessel_convolution, supercat_convolution
+from convolvium import cli
 
 
 def parse_args(argv: list[str] | None = None) -> argparse.Namespace:
@@ -32,38 +26,36 @@ def parse_args(argv: list[str] | None = None) -> argparse.Namespace:
     return parser.parse_args(argv)
 
 
-def write_table(path: Path, header: tuple[str, ...], rows) -> None:
-    with path.open("w", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([*row[:-1], decimal(row[-1])])
-    print(f"wrote {path}")
-
-
 def main(argv: list[str] | None = None) -> int:
     args = parse_args(argv)
-    n_max, r_max, m_max = args.n_max, args.r_max, args.m_max
-    out = args.out_dir
-    out.mkdir(parents=True, exist_ok=True)
+    n_max = ["--n-max", str(args.n_max)]
+    grid = [*n_max, "--r-max", str(args.r_max)]
+    tables = [
+        ("catalan.csv", ["catalan", *n_max]),
+        ("super_catalan.csv", ["supercatalan", *grid]),
+        ("gessel.csv", ["gessel", *grid]),
+        ("clearing_factors.csv", ["kr", "--r-max", str(args.r_max)]),
+    ]
+    for m in range(1, args.m_max + 1):
+        tables.append((f"phi_m{m}.csv", ["phi", *grid, "--m", str(m)]))
+        tables.append((f"psi_m{m}.csv", ["psi", *grid, "--m", str(m)]))
 
-    write_table(out / "catalan.csv", ("n", "value"),
-                ((n, catalan(n)) for n in range(n_max + 1)))
-    write_table(out / "super_catalan.csv", ("n", "r", "value"),
-                ((n, r, super_catalan(n, r))
-                 for n in range(n_max + 1) for r in range(r_max + 1)))
-    write_table(out / "gessel.csv", ("n", "r", "value"),
-                ((n, r, gessel(n, r))
-                 for n in range(n_max + 1) for r in range(1, r_max + 1)))
-    write_table(out / "clearing_factors.csv", ("r", "value"),
-                ((r, smallest_clearing_factor(r)) for r in range(1, r_max + 1)))
-    for m in range(1, m_max + 1):
-        write_table(out / f"phi_m{m}.csv", ("n", "r", "value"),
-                    ((n, r, gessel_convolution(n, m, r))
-                     for n in range(n_max + 1) for r in range(1, r_max + 1)))
-        write_table(out / f"psi_m{m}.csv", ("n", "r", "value"),
-                    ((n, r, supercat_convolution(n, m, r))
-                     for n in range(n_max + 1) for r in range(1, r_max + 1)))
+    # every table is built before any file is written, so a rejected flag
+    # leaves the directory untouched
+    texts = {}
+    for name, table_args in tables:
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            code = cli.main(["table", *table_args])
+        if code:
+            return code
+        texts[name] = buf.getvalue()
+
+    args.out_dir.mkdir(parents=True, exist_ok=True)
+    for name, text in texts.items():
+        path = args.out_dir / name
+        path.write_text(text)
+        print(f"wrote {path}")
     return 0
 
 

@@ -121,11 +121,7 @@ class KernelBump:
     def __post_init__(self) -> None:
         if self.family is KernelFamily.CUSTOM:
             raise ValueError("custom kernels cannot be bumped")
-        if self.family in PARAMETERIZED_FAMILIES:
-            if self.order is None or self.order < 1:
-                raise ValueError(f"{self.family.value} bump requires order >= 1")
-        elif self.order is not None:
-            raise ValueError(f"{self.family.value} bump takes no order")
+        Kernel(self.family, order=self.order)  # the family's order rule
         if self.delta == 0:
             raise ValueError("bump delta must be non-zero")
 
@@ -165,11 +161,14 @@ class _SuiteCtx:
         self.params = params
         self.seed = seed
         self.bump = bump
+        self.seeded = False
         self.cases = 0
         self.violations: list[dict] = []
         self.notes: list[str] = []
 
     def rng(self) -> random.Random:
+        """A generator seeded from the sweep; drawing marks the run seeded."""
+        self.seeded = True
         return random.Random(self.seed)
 
     def mk(self, family: KernelFamily, order: int | None = None) -> Kernel:
@@ -218,24 +217,38 @@ class _SuiteCtx:
 # ---------------------------------------------------------------- suite runners
 
 
-def _run_theorem1(ctx: _SuiteCtx) -> None:
+def _instances(ctx: _SuiteCtx, family: KernelFamily) -> list[tuple[Kernel, int, dict[str, int]]]:
+    """Every instance of one built-in kernel family the sweep covers: the
+    kernel, the `a` it is summed at, and the parameter naming the instance.
+    An ordered family runs at its natural a = r - 1 for each r <= r_max, the
+    rising kernel at every a <= a_max, the rest once at a = 0."""
     p = ctx.params
-    for r in range(1, p["r_max"] + 1):
-        kern = ctx.mk(KernelFamily.GESSEL, r)
-        for n in range(p["n_max"] + 1):
-            d = half_super_catalan(n, r)
-            for m in range(1, p["m_max"] + 1):
-                ctx.divides({"n": n, "m": m, "r": r}, d, direct_sum(kern, 2 * n, m, r - 1))
+    if family in PARAMETERIZED_FAMILIES:
+        return [(ctx.mk(family, r), r - 1, {"r": r}) for r in range(1, p["r_max"] + 1)]
+    if family is KernelFamily.RISING:
+        kern = ctx.mk(family)
+        return [(kern, a, {"a": a}) for a in range(p["a_max"] + 1)]
+    return [(ctx.mk(family), 0, {})]
 
 
-def _run_psi_div(ctx: _SuiteCtx) -> None:
-    p = ctx.params
-    for r in range(1, p["r_max"] + 1):
-        kern = ctx.mk(KernelFamily.SUPERCAT, r)
-        for n in range(p["n_max"] + 1):
-            d = super_catalan(n, r)
-            for m in range(1, p["m_max"] + 1):
-                ctx.divides({"n": n, "m": m, "r": r}, d, direct_sum(kern, 2 * n, m, r - 1))
+def _sum_divisible(
+    family: KernelFamily, divisor: Callable[..., int]
+) -> Callable[[_SuiteCtx], None]:
+    """Runner: divisor(n, **name) divides the weight-m direct sum up to 2n
+    over every instance of `family`, for every n <= n_max and m <= m_max.
+
+    The registry passes divisors as lambdas that look their functions up
+    by name at call time, so a patched or traced module global is seen."""
+
+    def run(ctx: _SuiteCtx) -> None:
+        p = ctx.params
+        for kern, a, name in _instances(ctx, family):
+            for n in range(p["n_max"] + 1):
+                d = divisor(n, **name)
+                for m in range(1, p["m_max"] + 1):
+                    ctx.divides({"n": n, "m": m, **name}, d, direct_sum(kern, 2 * n, m, a))
+
+    return run
 
 
 def _run_phi_m1(ctx: _SuiteCtx) -> None:
@@ -249,43 +262,14 @@ def _run_phi_m1(ctx: _SuiteCtx) -> None:
 
 
 def _run_psi_m1(ctx: _SuiteCtx) -> None:
-    p = ctx.params
-    for r in range(1, p["r_max"] + 1):
-        kern = ctx.mk(KernelFamily.SUPERCAT, r)
-        for n in range(p["n_max"] + 1):
+    for kern, a, name in _instances(ctx, KernelFamily.SUPERCAT):
+        r = name["r"]
+        for n in range(ctx.params["n_max"] + 1):
             ctx.equal(
-                {"n": n, "r": r},
+                {"n": n, **name},
                 super_catalan(n, r) * super_catalan(n + r, n),
-                direct_sum(kern, 2 * n, 1, r - 1),
+                direct_sum(kern, 2 * n, 1, a),
             )
-
-
-def _run_calkin(ctx: _SuiteCtx) -> None:
-    p = ctx.params
-    kern = ctx.mk(KernelFamily.PLAIN)
-    for n in range(p["n_max"] + 1):
-        d = central_binomial(n)
-        for m in range(1, p["m_max"] + 1):
-            ctx.divides({"n": n, "m": m}, d, direct_sum(kern, 2 * n, m, 0))
-
-
-def _run_s2_div(ctx: _SuiteCtx) -> None:
-    p = ctx.params
-    kern = ctx.mk(KernelFamily.RISING)
-    for a in range(p["a_max"] + 1):
-        for n in range(p["n_max"] + 1):
-            d = lcm(binomial(a + n, a), central_binomial(n))
-            for m in range(1, p["m_max"] + 1):
-                ctx.divides({"n": n, "m": m, "a": a}, d, direct_sum(kern, 2 * n, m, a))
-
-
-def _run_s3_div(ctx: _SuiteCtx) -> None:
-    p = ctx.params
-    kern = ctx.mk(KernelFamily.CENTRAL)
-    for n in range(p["n_max"] + 1):
-        d = central_binomial(n)
-        for m in range(1, p["m_max"] + 1):
-            ctx.divides({"n": n, "m": m}, d, direct_sum(kern, 2 * n, m, 0))
 
 
 def _run_closed_forms(ctx: _SuiteCtx) -> None:
@@ -318,16 +302,16 @@ def _run_closed_forms(ctx: _SuiteCtx) -> None:
 
 def _builtin_kernels(ctx: _SuiteCtx) -> list[tuple[Kernel, int]]:
     """Every built-in kernel instance the sweep covers, paired with the `a`
-    it is summed at (the rising kernel reads `a`; the supercat-type kernels
-    run at their natural a = r - 1; the rest run at a = 0)."""
-    p = ctx.params
-    out = [(ctx.mk(KernelFamily.PLAIN), 0), (ctx.mk(KernelFamily.CENTRAL), 0)]
-    for a in range(p["a_max"] + 1):
-        out.append((ctx.mk(KernelFamily.RISING), a))
-    for r in range(1, p["r_max"] + 1):
-        out.append((ctx.mk(KernelFamily.SUPERCAT, r), r - 1))
-        out.append((ctx.mk(KernelFamily.HALF_SUPERCAT, r), r - 1))
-        out.append((ctx.mk(KernelFamily.GESSEL, r), r - 1))
+    it is summed at: plain, central, rising at each a, then the three ordered
+    families for each r in turn."""
+    out = [
+        (kern, a)
+        for family in (KernelFamily.PLAIN, KernelFamily.CENTRAL, KernelFamily.RISING)
+        for kern, a, _ in _instances(ctx, family)
+    ]
+    ordered = (KernelFamily.SUPERCAT, KernelFamily.HALF_SUPERCAT, KernelFamily.GESSEL)
+    for same_r in zip(*(_instances(ctx, family) for family in ordered)):
+        out.extend((kern, a) for kern, a, _ in same_r)
     return out
 
 
@@ -538,11 +522,11 @@ class SuiteSpec:
     minimums: dict[str, int]
     runner: Callable[[_SuiteCtx], None]
     estimator: Callable[[dict[str, int]], float]
-    uses_seed: bool = False
 
 
 def _est_weighted(p: dict[str, int]) -> float:
-    return (p["n_max"] + 1) * p.get("m_max", 1) * p.get("r_max", 1) * (2 * p["n_max"] + 2)
+    n = p["n_max"]
+    return (n + 1) * p.get("m_max", 1) * p.get("r_max", 1) * (p.get("a_max", 0) + 1) * (2 * n + 2)
 
 
 def _est_closed_forms(p: dict[str, int]) -> float:
@@ -599,11 +583,10 @@ def _spec(
     runner: Callable[[_SuiteCtx], None],
     estimator: Callable[[dict[str, int]], float],
     minimums: dict[str, int] | None = None,
-    uses_seed: bool = False,
 ) -> SuiteSpec:
     mins = {k: _MIN_DEFAULTS[k] for k in defaults}
     mins.update(minimums or {})
-    return SuiteSpec(name, claim, defaults, mins, runner, estimator, uses_seed)
+    return SuiteSpec(name, claim, defaults, mins, runner, estimator)
 
 
 _REGISTRY: dict[str, SuiteSpec] = {
@@ -614,7 +597,7 @@ _REGISTRY: dict[str, SuiteSpec] = {
             "half the super Catalan number S(n,r) divides the alternating "
             "Gessel convolution at every binomial weight",
             {"n_max": 10, "m_max": 4, "r_max": 5},
-            _run_theorem1,
+            _sum_divisible(KernelFamily.GESSEL, lambda n, r: half_super_catalan(n, r)),
             _est_weighted,
         ),
         _spec(
@@ -622,7 +605,7 @@ _REGISTRY: dict[str, SuiteSpec] = {
             "the super Catalan number S(n,r) divides the alternating super "
             "Catalan convolution at every binomial weight",
             {"n_max": 10, "m_max": 4, "r_max": 5},
-            _run_psi_div,
+            _sum_divisible(KernelFamily.SUPERCAT, lambda n, r: super_catalan(n, r)),
             _est_weighted,
         ),
         _spec(
@@ -645,7 +628,7 @@ _REGISTRY: dict[str, SuiteSpec] = {
             "binomial(2n,n) divides the alternating m-th power sum of "
             "binomial(2n,k)",
             {"n_max": 12, "m_max": 5},
-            _run_calkin,
+            _sum_divisible(KernelFamily.PLAIN, lambda n: central_binomial(n)),
             _est_weighted,
         ),
         _spec(
@@ -653,15 +636,17 @@ _REGISTRY: dict[str, SuiteSpec] = {
             "lcm(binomial(a+n,a), binomial(2n,n)) divides the alternating "
             "weighted sum over the rising kernel",
             {"n_max": 10, "m_max": 4, "a_max": 4},
-            _run_s2_div,
-            lambda p: _est_weighted(p) * (p["a_max"] + 1),
+            _sum_divisible(
+                KernelFamily.RISING, lambda n, a: lcm(binomial(a + n, a), central_binomial(n))
+            ),
+            _est_weighted,
         ),
         _spec(
             "s3-div",
             "binomial(2n,n) divides the alternating weighted sum over the "
             "central-binomial kernel",
             {"n_max": 10, "m_max": 4},
-            _run_s3_div,
+            _sum_divisible(KernelFamily.CENTRAL, lambda n: central_binomial(n)),
             _est_weighted,
         ),
         _spec(
@@ -687,7 +672,6 @@ _REGISTRY: dict[str, SuiteSpec] = {
             {"n_max": 12, "m_max": 3, "r_max": 4, "a_max": 4},
             _run_eq8,
             _est_eq8,
-            uses_seed=True,
         ),
         _spec(
             "thm2",
@@ -696,7 +680,6 @@ _REGISTRY: dict[str, SuiteSpec] = {
             {"n_max": 10, "a_max": 3, "r_max": 4},
             _run_thm2,
             _est_thm2,
-            uses_seed=True,
         ),
         _spec(
             "eq2-eq4",
@@ -814,7 +797,7 @@ def run_suite(
     spec.runner(ctx)
     elapsed = (time.perf_counter() - start) * 1000.0
     rng_range = dict(params)
-    if spec.uses_seed:
+    if ctx.seeded:
         rng_range["seed"] = sweep.seed
     return VerificationReport(
         suite=name,

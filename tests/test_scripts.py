@@ -9,6 +9,7 @@ from __future__ import annotations
 import importlib.util
 from pathlib import Path
 
+from convolvium import cli
 from convolvium.verify import SweepRange, reports_to_json, run_all, suite_names
 
 _SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
@@ -33,3 +34,34 @@ def test_run_verification_prints_verdicts_and_writes_the_report(capsys, tmp_path
     # the default seed is the library's, so the report equals run_all's
     sweep = SweepRange(n_max=3, m_max=2, r_max=2, a_max=1)
     assert target.read_text() == reports_to_json(run_all(sweep))
+
+
+def test_make_tables_writes_what_the_table_command_prints(capsys, tmp_path):
+    script = _load("make_tables")
+    assert script.main(["--n-max", "4", "--r-max", "2", "--m-max", "2", "--out-dir", str(tmp_path)]) == 0
+    capsys.readouterr()
+    grid = ["--n-max", "4", "--r-max", "2"]
+    expected = {
+        "catalan.csv": ["catalan", "--n-max", "4"],
+        "super_catalan.csv": ["supercatalan", *grid],
+        "gessel.csv": ["gessel", *grid],
+        "clearing_factors.csv": ["kr", "--r-max", "2"],
+        "phi_m1.csv": ["phi", *grid, "--m", "1"],
+        "psi_m1.csv": ["psi", *grid, "--m", "1"],
+        "phi_m2.csv": ["phi", *grid, "--m", "2"],
+        "psi_m2.csv": ["psi", *grid, "--m", "2"],
+    }
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(expected)
+    for name, argv in expected.items():
+        assert cli.main(["table", *argv]) == 0
+        assert (tmp_path / name).read_text() == capsys.readouterr().out, name
+
+
+def test_kr_window_scan_reports_worst_witnesses(capsys):
+    script = _load("kr_window_scan")
+    assert script.main(["--r-max", "3", "--window", "20"]) == 0
+    rows = capsys.readouterr().out.splitlines()[1:]
+    assert [row.split()[2] for row in rows] == ["-", "1", "2"]
+    # at window 0 the candidates 2 and 4 below K_2 = 6 have no witness
+    assert script.main(["--r-max", "2", "--window", "0"]) == 1
+    assert "candidates [2, 4]" in capsys.readouterr().out

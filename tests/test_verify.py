@@ -309,6 +309,64 @@ def test_failing_run_matches_golden_digest(monkeypatch):
     assert hashlib.sha256(text.encode()).hexdigest() == _GOLDEN_FAILING_RUN_SHA256
 
 
+# each direct-sum suite under a bump of its own kernel family, at the default
+# ranges: the violation count and the sha256 of `reports_to_json([report])`,
+# which pins the range and the parameter keys of every violation
+@pytest.mark.parametrize(
+    "suite, bump, violations, digest",
+    [
+        (
+            "theorem1",
+            KernelBump(KernelFamily.GESSEL, 2, (6, 1, 1)),
+            0,
+            "0f4aee39d369371e694668d0953cfa4bf6c966db9eadbfef59b4c15cd36f30d1",
+        ),
+        (
+            "psi-div",
+            KernelBump(KernelFamily.SUPERCAT, 1, (4, 2, 0)),
+            1,
+            "62b2fb17a08882d575c3083527fd5e6e12eb0595c8e6133bab197ff947dc83d6",
+        ),
+        (
+            "psi-m1",
+            KernelBump(KernelFamily.SUPERCAT, 1, (4, 2, 0)),
+            1,
+            "fd09e564c5572ab5d5a7c9aba3e18bd7f2ea2ec547cfdaf614b2cdaafb1d2be1",
+        ),
+        (
+            "calkin",
+            KernelBump(KernelFamily.PLAIN, None, (2, 1, 0)),
+            0,
+            "8dd299ef44ff59d9b06db9968c0b36db5825cb17c8eebc1a23d29d5b241aac2b",
+        ),
+        (
+            "s2-div",
+            KernelBump(KernelFamily.RISING, None, (4, 1, 2)),
+            4,
+            "15213472abce2e308d3c2d6e9e2602e4288c2f8686a7378421fc30f5ddc00052",
+        ),
+        (
+            "s3-div",
+            KernelBump(KernelFamily.CENTRAL, None, (4, 2, 0)),
+            0,
+            "bf766a51712653a62bef329a939f4b63df3113997f82dca6ee3e1fb379c78603",
+        ),
+        (
+            "phi-m1",
+            KernelBump(KernelFamily.GESSEL, 1, (4, 1, 0)),
+            1,
+            "e6d59accc79977490a7d307050e5cb655ad40b67fb8b0ec60a04a7596d6d27d2",
+        ),
+    ],
+)
+def test_direct_sum_suite_under_its_own_bump_matches_golden(monkeypatch, suite, bump, violations, digest):
+    monkeypatch.delenv("CONVOLVIUM_BUDGET_MS", raising=False)
+    report = run_suite(suite, bump=bump)
+    assert len(report.violations) == violations
+    text = reports_to_json([report])
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
 def test_run_all_rejects_a_malformed_budget(monkeypatch):
     monkeypatch.setenv("CONVOLVIUM_BUDGET_MS", "abc")
     with pytest.raises(ValueError, match="CONVOLVIUM_BUDGET_MS"):
