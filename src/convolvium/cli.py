@@ -41,14 +41,19 @@ from .verify import (
     suite_names,
 )
 
+# the three convolutions, each called as fn(n, m, r) with the half index n
+_CONVOLUTIONS = {
+    "phi": gessel_convolution,
+    "psi": supercat_convolution,
+    "quarter-psi": quarter_psi,
+}
+
 _COMPUTE_QUANTITIES = (
     "binomial",
     "catalan",
     "supercatalan",
     "gessel",
-    "phi",
-    "psi",
-    "quarter-psi",
+    *_CONVOLUTIONS,
     "msum",
     "closed-form",
 )
@@ -58,9 +63,7 @@ _TABLE_QUANTITIES = (
     "catalan",
     "supercatalan",
     "gessel",
-    "phi",
-    "psi",
-    "quarter-psi",
+    *_CONVOLUTIONS,
     "kr",
 )
 
@@ -173,12 +176,11 @@ def _cmd_compute(args: argparse.Namespace) -> int:
         value = super_catalan(_need(args, "n", q), _need(args, "r", q))
     elif q == "gessel":
         value = gessel(_need(args, "n", q), _need(args, "r", q))
-    elif q in ("phi", "psi", "quarter-psi"):
+    elif q in _CONVOLUTIONS:
         n = _need(args, "n", q)
         m = _opt(args.m, 1)
         r = _opt(args.r, 1)
-        fn = {"phi": gessel_convolution, "psi": supercat_convolution, "quarter-psi": quarter_psi}[q]
-        value = fn(n, m, r)
+        value = _CONVOLUTIONS[q](n, m, r)
     elif q == "msum":
         if args.kernel is None:
             raise _UsageError("compute msum requires --kernel")
@@ -276,7 +278,7 @@ def _table_rows(args: argparse.Namespace) -> tuple[tuple[str, ...], Iterable[tup
         return ("n", "r", "value"), (
             (n, r, gessel(n, r)) for n in range(n_max + 1) for r in range(1, r_max + 1)
         )
-    fn = {"phi": gessel_convolution, "psi": supercat_convolution, "quarter-psi": quarter_psi}[q]
+    fn = _CONVOLUTIONS[q]
     return ("n", "r", "value"), (
         (n, r, fn(n, args.m, r)) for n in range(n_max + 1) for r in range(1, r_max + 1)
     )

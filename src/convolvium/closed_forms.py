@@ -42,7 +42,7 @@ class ClosedFormFamily(str, Enum):
     PHI_00 = "phi-00"
 
 
-# parameters each family takes beyond the half index n
+# parameters each family's closed form takes, the half index n first
 FAMILY_PARAMS: dict[ClosedFormFamily, tuple[str, ...]] = {
     ClosedFormFamily.S1_T0: ("n", "j"),
     ClosedFormFamily.S1_T1: ("n", "j"),
@@ -221,23 +221,25 @@ def closed_phi_origin(n: int, r: int) -> int:
     return _sign(r - 1) * half_super_catalan(n, r) * total
 
 
+# family -> its closed form, called with exactly the keywords in FAMILY_PARAMS
 _DISPATCH = {
-    ClosedFormFamily.S1_T0: lambda n, j, r, a: closed_s1_t0(n, j),
-    ClosedFormFamily.S1_T1: lambda n, j, r, a: closed_s1_t1(n, j),
-    ClosedFormFamily.S2_T0: lambda n, j, r, a: closed_s2_t0(n, j, a),
-    ClosedFormFamily.S2_T1: lambda n, j, r, a: closed_s2_t1(n, j, a),
-    ClosedFormFamily.S3_T0: lambda n, j, r, a: closed_s3_t0(n, j),
-    ClosedFormFamily.PSI_T0: lambda n, j, r, a: closed_psi_t0(n, j, r),
-    ClosedFormFamily.PSI_T1: lambda n, j, r, a: closed_psi_t1(n, j, r),
-    ClosedFormFamily.PHI_J_T0: lambda n, j, r, a: closed_phi_t0(n, j, r),
-    ClosedFormFamily.PHI_00: lambda n, j, r, a: closed_phi_origin(n, r),
+    ClosedFormFamily.S1_T0: closed_s1_t0,
+    ClosedFormFamily.S1_T1: closed_s1_t1,
+    ClosedFormFamily.S2_T0: closed_s2_t0,
+    ClosedFormFamily.S2_T1: closed_s2_t1,
+    ClosedFormFamily.S3_T0: closed_s3_t0,
+    ClosedFormFamily.PSI_T0: closed_psi_t0,
+    ClosedFormFamily.PSI_T1: closed_psi_t1,
+    ClosedFormFamily.PHI_J_T0: closed_phi_t0,
+    ClosedFormFamily.PHI_00: closed_phi_origin,
 }
 
 
 def closed_form(family: ClosedFormFamily, *, n: int, j: int = 0, r: int = 1, a: int = 0) -> int:
     """Evaluate one closed-form family (n is the half index)."""
     family = ClosedFormFamily(family)
-    return _DISPATCH[family](n, j, r, a)
+    given = {"n": n, "j": j, "r": r, "a": a}
+    return _DISPATCH[family](**{name: given[name] for name in FAMILY_PARAMS[family]})
 
 
 def msum_counterpart(

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 import sys
-import threading
 from functools import lru_cache
 
 
@@ -52,25 +51,12 @@ def binomial(n: int, k: int) -> int:
     return math.comb(n, k)
 
 
-_central = [1]
-_central_lock = threading.Lock()
-
-
 def central_binomial(n: int) -> int:
-    """binomial(2n, n) via the exact quotient recurrence c_k = c_{k-1}(4k-2)/k.
-
-    The values found so far are kept, so a sweep over n costs one step per
-    new n.
-    """
+    """binomial(2n, n) by math.comb on each call. A sweep over consecutive n
+    is cheaper walked by the exact step c_k = c_{k-1}(4k-2)/k."""
     if n < 0:
         raise ValueError(f"central_binomial requires n >= 0, got n={n}")
-    if n < len(_central):
-        return _central[n]
-    with _central_lock:
-        while len(_central) <= n:
-            k = len(_central)
-            _central.append(exact_div(_central[-1] * (4 * k - 2), k))
-    return _central[n]
+    return math.comb(2 * n, n)
 
 
 @lru_cache(maxsize=None)
@@ -122,25 +108,28 @@ def smallest_clearing_factor(r: int) -> int:
     return exact_div(r * binomial(2 * r, r), 2)
 
 
+def _convert(fn, arg, digits: int):
+    """fn(arg) with CPython's int/str digit limit (3.11+) lifted to `digits`
+    for this one conversion; the old limit is put back afterwards."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit or digits <= limit:
+        return fn(arg)
+    sys.set_int_max_str_digits(digits)
+    try:
+        return fn(arg)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def decimal(x: int) -> str:
     """Decimal string of x at any size.
 
-    CPython 3.11+ guards int/str conversion above a digit limit; this lifts
-    the limit just enough when a value actually needs it.
+    CPython 3.11+ guards int/str conversion above a digit limit; a value
+    that needs more digits lifts it for its own conversion only.
     """
-    if hasattr(sys, "get_int_max_str_digits"):
-        limit = sys.get_int_max_str_digits()
-        if limit:
-            digits = x.bit_length() // 3 + 3  # overestimate of decimal digits
-            if digits > limit:
-                sys.set_int_max_str_digits(digits)
-    return str(x)
+    return _convert(str, x, x.bit_length() // 3 + 3)  # overestimate of decimal digits
 
 
 def parse_decimal(s: str) -> int:
     """Inverse of decimal(): parse a decimal string of any length."""
-    if hasattr(sys, "get_int_max_str_digits"):
-        limit = sys.get_int_max_str_digits()
-        if limit and len(s) + 2 > limit:
-            sys.set_int_max_str_digits(len(s) + 2)
-    return int(s)
+    return _convert(int, s, len(s) + 2)

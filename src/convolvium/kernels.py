@@ -113,15 +113,13 @@ def _symmetric_row(factor: Callable[[int], int], n: int) -> list[int]:
 
 
 def _custom_row(kernel: Kernel, n: int, a: int) -> list[int]:
-    values = []
-    for k in range(n + 1):
-        try:
-            values.append(kernel.table[(n, k, a)])
-        except KeyError:
-            raise KernelDomainError(
-                f"custom kernel has no value at (n={n}, k={k}, a={a})"
-            ) from None
-    return values
+    try:
+        return [kernel.table[(n, k, a)] for k in range(n + 1)]
+    except KeyError as miss:
+        _, k, _ = miss.args[0]
+        raise KernelDomainError(
+            f"custom kernel has no value at (n={n}, k={k}, a={a})"
+        ) from None
 
 
 # family -> builder of the unbumped row F(n, 0..n, a)

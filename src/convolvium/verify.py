@@ -27,8 +27,9 @@ import os
 import random
 import time
 from dataclasses import dataclass, field
+from itertools import accumulate
 from operator import mul
-from typing import Callable
+from typing import Callable, Iterator
 
 from . import closed_forms as cf
 from .exact import (
@@ -36,6 +37,7 @@ from .exact import (
     catalan,
     central_binomial,
     decimal,
+    exact_div,
     half_super_catalan,
     lcm,
     gessel,
@@ -464,17 +466,23 @@ def _run_eq14(ctx: _SuiteCtx) -> None:
                 )
 
 
+def _centrals(window: int) -> Iterator[int]:
+    """binomial(2n, n) for n = 0..window, each from the last by one exact step."""
+    return accumulate(range(1, window + 1), lambda c, n: exact_div(c * (4 * n - 2), n), initial=1)
+
+
 def _run_kr(ctx: _SuiteCtx) -> None:
     window = ctx.params["n_max"]
     for r in range(1, ctx.params["r_max"] + 1):
         cleared = smallest_clearing_factor(r)
-        for n in range(window + 1):
-            ctx.divides({"r": r, "n": n, "K": decimal(cleared)}, n + r, cleared * central_binomial(n))
+        text = decimal(cleared)
+        for n, c in enumerate(_centrals(window)):
+            ctx.divides({"r": r, "n": n, "K": text}, n + r, cleared * c)
         # minimality, as far as the window can see: every smaller multiplier
         # must fail at some n in the window
         for cand in range(1, cleared):
             witness = next(
-                (n for n in range(window + 1) if cand * central_binomial(n) % (n + r)),
+                (n for n, c in enumerate(_centrals(window)) if cand * c % (n + r)),
                 None,
             )
             ctx.assert_true(

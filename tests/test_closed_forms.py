@@ -8,8 +8,11 @@ trips loudly.
 
 from __future__ import annotations
 
+import inspect
+
 import pytest
 
+from convolvium import closed_forms
 from convolvium.closed_forms import (
     FAMILY_MSUM,
     FAMILY_PARAMS,
@@ -33,6 +36,12 @@ def test_every_family_has_a_parameter_signature():
     assert set(FAMILY_PARAMS) == set(ClosedFormFamily)
     for names in FAMILY_PARAMS.values():
         assert names[0] == "n"
+
+
+def test_each_closed_form_takes_exactly_its_family_params():
+    assert set(closed_forms._DISPATCH) == set(ClosedFormFamily)
+    for family, fn in closed_forms._DISPATCH.items():
+        assert tuple(inspect.signature(fn).parameters) == FAMILY_PARAMS[family]
 
 
 def test_every_family_has_one_msum_counterpart():

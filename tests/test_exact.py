@@ -8,6 +8,7 @@ against the functions under test themselves.
 from __future__ import annotations
 
 import math
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -234,6 +235,18 @@ def test_decimal_round_trip_ten_thousand_digits():
     assert len(text) == 10000
     assert parse_decimal(text) == x
     assert parse_decimal(decimal(-x)) == -x
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "get_int_max_str_digits"), reason="no int/str digit limit here"
+)
+def test_decimal_lifts_the_digit_limit_for_one_conversion_only():
+    before = sys.get_int_max_str_digits()
+    x = 10**20000
+    text = decimal(x)
+    assert sys.get_int_max_str_digits() == before
+    assert parse_decimal(text) == x
+    assert sys.get_int_max_str_digits() == before
 
 
 @settings(max_examples=50)

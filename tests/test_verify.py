@@ -10,9 +10,15 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import convolvium
 from convolvium import verify
 from convolvium.kernels import KernelFamily
 from convolvium.verify import (
@@ -414,6 +420,34 @@ def test_kr_minimality_counts_candidates():
     rep = run_suite("kr", SweepRange(n_max=20, r_max=2))
     assert rep.passed
     assert rep.cases_checked == 2 * 21 + 5
+
+
+def test_kr_window_walk_gives_the_central_binomials():
+    assert list(verify._centrals(60)) == [math.comb(2 * n, n) for n in range(61)]
+
+
+_KR_RETAINED = """
+import tracemalloc
+from convolvium.verify import SweepRange, run_suite
+
+tracemalloc.start()
+before = tracemalloc.get_traced_memory()[0]
+passed = run_suite("kr", SweepRange(n_max=8000, r_max=1)).passed
+print(passed, tracemalloc.get_traced_memory()[0] - before)
+"""
+
+
+def test_kr_keeps_nothing_after_it_returns():
+    # a fresh interpreter, so no earlier test has filled anything in; a
+    # cache of the 8001 central binomials walked would retain about 8.8 MB
+    src = str(Path(convolvium.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    out = subprocess.run(
+        [sys.executable, "-c", _KR_RETAINED], env=env, capture_output=True, text=True, check=True
+    ).stdout.split()
+    assert out[0] == "True"
+    assert int(out[1]) < 100_000
 
 
 def test_kr_no_witness_is_a_violation():
