@@ -26,7 +26,7 @@ from .exact import (
     half_super_catalan,
     super_catalan,
 )
-from .kernels import PARAMETERIZED_FAMILIES, Kernel, KernelFamily
+from .kernels import PARAMETERIZED_FAMILIES, Kernel, KernelFamily, _sign
 from .sums import m_sum
 
 
@@ -67,10 +67,6 @@ FAMILY_MSUM: dict[ClosedFormFamily, tuple[KernelFamily, int]] = {
     ClosedFormFamily.PHI_J_T0: (KernelFamily.GESSEL, 0),
     ClosedFormFamily.PHI_00: (KernelFamily.GESSEL, 0),
 }
-
-
-def _sign(e: int) -> int:
-    return -1 if e & 1 else 1
 
 
 def closed_s1_t0(n: int, j: int) -> int:

@@ -59,7 +59,7 @@ def central_binomial(n: int) -> int:
     return math.comb(2 * n, n)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4096)  # ~2x the values one bigint-sweep pass computes (1809-1839)
 def catalan(n: int) -> int:
     """The n-th Catalan number, binomial(2n, n) / (n + 1)."""
     if n < 0:
@@ -67,7 +67,7 @@ def catalan(n: int) -> int:
     return exact_div(binomial(2 * n, n), n + 1)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4096)
 def super_catalan(n: int, r: int) -> int:
     """Super Catalan number S(n, r) = binomial(2n,n) binomial(2r,r) / binomial(n+r,n).
 
@@ -85,7 +85,7 @@ def half_super_catalan(n: int, r: int) -> int:
     return exact_div(super_catalan(n, r), 2)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4096)
 def gessel(n: int, r: int) -> int:
     """Gessel number P(n, r) = r/(2(n+r)) * binomial(2n,n) * binomial(2r,r).
 

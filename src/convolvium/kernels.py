@@ -9,13 +9,14 @@ by (-1)^k itself. The built-in families:
     supercat(r)     (-1)^k S(k, r) S(n-k, r)
     half-supercat(r) (-1)^k (S(k, r)/2) (S(n-k, r)/2)
     gessel(r)       (-1)^k P(k, r) P(n-k, r)
-    custom          explicit table {(n, k, a): value}
+    custom          stored rows {(n, a): (F(n, 0, a), ..., F(n, n, a))}
 
 Kernels are evaluated a row at a time: `Kernel.row(n, a)` gives F(n, k, a)
 for k = 0..n, and a point call reads its value out of that row. Every
 built-in family is (-1)^k f(k) f(n-k) for one factor f, so a row costs n+1
-evaluations of f. `binomial_pair_row` dresses a row with the weights
-binomial(a+k, a) binomial(a+n-k, a), which are built once per (n, a).
+evaluations of f. A custom kernel stores whole rows; `custom_kernel` checks
+a point table once and converts it. `binomial_pair_row` dresses a row with
+the weights binomial(a+k, a) binomial(a+n-k, a), built once per (n, a).
 
 The `bump` field is a fault-injection hook for the verifier's sensitivity
 tests: it adds a delta to the kernel's value at exactly one point, applied
@@ -52,7 +53,7 @@ PARAMETERIZED_FAMILIES = frozenset(
 
 
 class KernelDomainError(LookupError):
-    """Kernel evaluated outside its domain (bad point, or a custom-table miss)."""
+    """Kernel evaluated outside its domain (bad point, or a custom-kernel miss)."""
 
 
 def _sign(k: int) -> int:
@@ -63,7 +64,7 @@ def _sign(k: int) -> int:
 class Kernel:
     family: KernelFamily
     order: int | None = None
-    table: Mapping[Point, int] | None = None
+    rows: Mapping[tuple[int, int], tuple[int, ...]] | None = None  # (n, a) -> row
     bump: tuple[Point, int] | None = None
 
     def __post_init__(self) -> None:
@@ -72,11 +73,8 @@ class Kernel:
                 raise ValueError(f"{self.family.value} kernel requires order >= 1")
         elif self.order is not None:
             raise ValueError(f"{self.family.value} kernel takes no order")
-        if self.family is KernelFamily.CUSTOM:
-            if self.table is None:
-                raise ValueError("custom kernel requires a value table")
-        elif self.table is not None:
-            raise ValueError(f"{self.family.value} kernel takes no table")
+        if (self.rows is None) == (self.family is KernelFamily.CUSTOM):
+            raise ValueError("a kernel stores rows exactly when it is custom")
 
     @property
     def label(self) -> str:
@@ -87,7 +85,7 @@ class Kernel:
     def row(self, n: int, a: int) -> tuple[int, ...]:
         """The kernel row (F(n, 0, a), ..., F(n, n, a)), bump included.
 
-        A custom table serves a row only when it holds every k = 0..n.
+        A custom kernel serves only the rows it stores.
         """
         if n < 0 or a < 0:
             raise KernelDomainError(f"kernel row out of domain: n={n}, a={a}")
@@ -95,7 +93,7 @@ class Kernel:
         if self.bump is not None:
             (bn, bk, ba), delta = self.bump
             if bn == n and ba == a and 0 <= bk <= n:
-                values[bk] += delta
+                values = [*values[:bk], values[bk] + delta, *values[bk + 1 :]]
         return tuple(values)
 
     def __call__(self, n: int, k: int, a: int) -> int:
@@ -112,18 +110,15 @@ def _symmetric_row(factor: Callable[[int], int], n: int) -> list[int]:
     return [_sign(k) * f[k] * f[n - k] for k in range(n + 1)]
 
 
-def _custom_row(kernel: Kernel, n: int, a: int) -> list[int]:
-    try:
-        return [kernel.table[(n, k, a)] for k in range(n + 1)]
-    except KeyError as miss:
-        _, k, _ = miss.args[0]
-        raise KernelDomainError(
-            f"custom kernel has no value at (n={n}, k={k}, a={a})"
-        ) from None
+def _custom_row(kernel: Kernel, n: int, a: int) -> Sequence[int]:
+    row = kernel.rows.get((n, a))
+    if row is None or len(row) != n + 1:
+        raise KernelDomainError(f"custom kernel has no full row at (n={n}, a={a})")
+    return row
 
 
 # family -> builder of the unbumped row F(n, 0..n, a)
-_ROW_BUILDERS: dict[KernelFamily, Callable[[Kernel, int, int], list[int]]] = {
+_ROW_BUILDERS: dict[KernelFamily, Callable[[Kernel, int, int], Sequence[int]]] = {
     KernelFamily.PLAIN: lambda kern, n, a: [_sign(k) for k in range(n + 1)],
     KernelFamily.RISING: lambda kern, n, a: _symmetric_row(lambda i: binomial(a + i, i), n),
     KernelFamily.CENTRAL: lambda kern, n, a: _symmetric_row(lambda i: binomial(2 * i, i), n),
@@ -163,7 +158,17 @@ def gessel_kernel(r: int) -> Kernel:
 
 
 def custom_kernel(table: Mapping[Point, int]) -> Kernel:
-    return Kernel(KernelFamily.CUSTOM, table=dict(table))
+    """Kernel from a point table {(n, k, a): value}, checked and stored as rows."""
+    for n, k, a in table:
+        if n < 0 or a < 0 or k < 0 or k > n:
+            raise KernelDomainError(f"custom kernel point out of domain: n={n}, k={k}, a={a}")
+    rows = {}
+    for n, a in dict.fromkeys((n, a) for n, _, a in table):
+        for k in range(n + 1):
+            if (n, k, a) not in table:
+                raise KernelDomainError(f"custom kernel has no value at (n={n}, k={k}, a={a})")
+        rows[(n, a)] = tuple([table[(n, k, a)] for k in range(n + 1)])
+    return Kernel(KernelFamily.CUSTOM, rows=rows)
 
 
 def with_bump(kernel: Kernel, point: Point, delta: int = 1) -> Kernel:
@@ -189,18 +194,17 @@ def binomial_pair_row(row: Sequence[int], a: int) -> tuple[int, ...]:
 
 def binomial_pair_kernel(g: Kernel, n: int, a: int) -> Kernel:
     """The kernel H(n, k, a) = binomial(a+k, a) binomial(a+n-k, a) G(n, k, a),
-    materialized as a custom table over the single slice (n, a)."""
-    h = binomial_pair_row(g.row(n, a), a)
-    return custom_kernel({(n, k, a): value for k, value in enumerate(h)})
+    stored as the single custom row (n, a)."""
+    return Kernel(KernelFamily.CUSTOM, rows={(n, a): binomial_pair_row(g.row(n, a), a)})
 
 
 def random_kernel(rng: random.Random, n_max: int, a_max: int) -> Kernel:
-    """Custom kernel with values drawn uniformly from [-9, 9] for every point
-    with n <= n_max, 0 <= k <= n, a <= a_max. Draw order is fixed (n, k, a
-    ascending), so a seeded rng reproduces the same kernel."""
-    table = {}
+    """Custom kernel whose rows (n, a), n <= n_max, a <= a_max, hold values
+    drawn uniformly from [-9, 9]. The draw order is (n, k, a) ascending, so
+    a seeded rng reproduces the same kernel."""
+    rows = {}
     for n in range(n_max + 1):
-        for k in range(n + 1):
-            for a in range(a_max + 1):
-                table[(n, k, a)] = rng.randint(-9, 9)
-    return custom_kernel(table)
+        drawn = [rng.randint(-9, 9) for _ in range((n + 1) * (a_max + 1))]
+        for a in range(a_max + 1):
+            rows[(n, a)] = tuple(drawn[a :: a_max + 1])
+    return Kernel(KernelFamily.CUSTOM, rows=rows)

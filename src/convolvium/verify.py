@@ -111,7 +111,7 @@ class KernelBump:
 
     Suites build their built-in kernels through a factory that applies the
     bump on a family/order match, so a single bump threads through every
-    suite that evaluates that kernel. Custom (table) kernels are outside the
+    suite that evaluates that kernel. Custom kernels are outside the
     fault-injection surface.
     """
 
@@ -281,12 +281,12 @@ def _run_closed_forms(ctx: _SuiteCtx) -> None:
         kfam, _ = cf.FAMILY_MSUM[family]
         r_values = range(1, p["r_max"] + 1) if "r" in takes else (1,)
         a_values = range(p["a_max"] + 1) if "a" in takes else (0,)
+        kerns = {r: ctx.mk(kfam, r if kfam in PARAMETERIZED_FAMILIES else None) for r in r_values}
         for n in range(p["n_max"] + 1):
             # probe one offset past the half index: both sides must vanish
             j_values = range(n + 2) if "j" in takes else (0,)
             for j in j_values:
-                for r in r_values:
-                    kern = ctx.mk(kfam, r if kfam in PARAMETERIZED_FAMILIES else None)
+                for r, kern in kerns.items():
                     for a in a_values:
                         params = {"family": family.value, "n": n}
                         if "j" in takes:

@@ -16,6 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from convolvium import kernels, sums
+from convolvium.cli import main as cli_main
 
 from convolvium.exact import (
     catalan,
@@ -116,9 +117,9 @@ def test_kernel_validation():
     with pytest.raises(ValueError):
         Kernel(KernelFamily.PLAIN, order=2)
     with pytest.raises(ValueError):
-        Kernel(KernelFamily.CUSTOM)  # missing table
+        Kernel(KernelFamily.CUSTOM)  # missing rows
     with pytest.raises(ValueError):
-        Kernel(KernelFamily.PLAIN, table={})
+        Kernel(KernelFamily.PLAIN, rows={})
 
 
 def test_kernel_labels():
@@ -201,23 +202,55 @@ def test_bumped_row_shifts_one_entry():
     assert with_bump(base, (5, 6, 1), 9).row(5, 1) == base.row(5, 1)
 
 
+def _replayed_draw(seed, n_max, a_max):
+    """The seeded draw spelled out point by point, (n, k, a) ascending: the
+    values by point, and the generator after the last draw."""
+    rng = random.Random(seed)
+    values = {}
+    for n in range(n_max + 1):
+        for k in range(n + 1):
+            for a in range(a_max + 1):
+                values[(n, k, a)] = rng.randint(-9, 9)
+    return values, rng
+
+
+@pytest.mark.parametrize("n_max,a_max", [(0, 0), (0, 2), (6, 3), (9, 0)])
+def test_random_kernel_rows_replay_the_seeded_draw(n_max, a_max):
+    values, replay = _replayed_draw(5, n_max, a_max)
+    rng = random.Random(5)
+    kern = random_kernel(rng, n_max, a_max)
+    for n in range(n_max + 1):
+        for a in range(a_max + 1):
+            assert kern.row(n, a) == tuple(values[(n, k, a)] for k in range(n + 1))
+    assert rng.getstate() == replay.getstate()
+
+
 def test_custom_and_random_rows_read_the_table():
     table = {(3, k, 2): 10 * k - 7 for k in range(4)}
     assert custom_kernel(table).row(3, 2) == (-7, 3, 13, 23)
-    kern = random_kernel(random.Random(5), 4, 1)
-    for n in range(5):
-        for a in range(2):
-            assert kern.row(n, a) == tuple(kern.table[(n, k, a)] for k in range(n + 1))
+    values, _ = _replayed_draw(7, 4, 1)
+    kern = random_kernel(random.Random(7), 4, 1)
+    for (n, k, a), value in values.items():
+        assert kern.row(n, a)[k] == kern(n, k, a) == value
 
 
 def test_custom_row_miss_raises():
-    kern = custom_kernel({(2, 0, 0): 1, (2, 1, 0): 2})
+    # a slice without every k is refused when the kernel is built
     with pytest.raises(KernelDomainError, match="k=2"):
-        kern.row(2, 0)
-    with pytest.raises(KernelDomainError):
-        kern(2, 0, 0)  # a point call reads the whole row
+        custom_kernel({(2, 0, 0): 1, (2, 1, 0): 2})
+    # so is a point that no row can hold
+    for point in ((2, 3, 0), (2, -1, 0), (-1, 0, 0), (0, 0, -1)):
+        with pytest.raises(KernelDomainError, match="out of domain"):
+            custom_kernel({(2, k, 0): k for k in range(3)} | {point: 1})
+    kern = custom_kernel({(2, k, 0): k for k in range(3)})
     with pytest.raises(KernelDomainError):
         kern.row(1, 0)
+    with pytest.raises(KernelDomainError):
+        kern(1, 0, 0)  # a point call reads the whole row
+    with pytest.raises(KernelDomainError):
+        kern.row(2, 1)
+    with pytest.raises(KernelDomainError):  # rows given directly are checked on read
+        Kernel(KernelFamily.CUSTOM, rows={(2, 0): (1, 2)})(2, 1, 0)
     with pytest.raises(KernelDomainError):
         plain_kernel().row(-1, 0)
     with pytest.raises(KernelDomainError):
@@ -230,7 +263,7 @@ def test_binomial_pair_row_from_table():
         for a in range(3):
             pair = binomial_pair_kernel(g, n, a)
             assert pair.row(n, a) == tuple(
-                math.comb(a + k, a) * math.comb(a + n - k, a) * g.table[(n, k, a)]
+                math.comb(a + k, a) * math.comb(a + n - k, a) * g.row(n, a)[k]
                 for k in range(n + 1)
             )
 
@@ -574,10 +607,14 @@ def test_binomial_pair_row_validation():
         binomial_pair_row((1, 2), -1)
 
 
-def test_coefficient_caches_are_bounded():
+def test_coefficient_caches_are_bounded(capsys):
     new_caches = (kernels._pair_weights, sums._transplant_weights)
-    for cache in (*new_caches, sums._pascal):
+    for cache in (*new_caches, sums._pascal, catalan, super_catalan, gessel):
         assert cache.cache_info().maxsize is not None
+    # a table sweep over more (n, r) pairs than the cache holds stays bounded
+    assert cli_main(["table", "gessel", "--n-max", "1500", "--r-max", "3"]) == 0
+    assert capsys.readouterr().out.count("\n") == 1 + 1501 * 3
+    assert gessel.cache_info().currsize <= gessel.cache_info().maxsize
     # a scalar M-sum at a large n adds no entry to either new cache, and
     # only the two O(n) Pascal rows it reads (n for the weights, n - 2j for
     # the inner sum) to the older one; never an O(n^2) table
