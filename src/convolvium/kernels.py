@@ -13,10 +13,14 @@ by (-1)^k itself. The built-in families:
 
 Kernels are evaluated a row at a time: `Kernel.row(n, a)` gives F(n, k, a)
 for k = 0..n, and a point call reads its value out of that row. Every
-built-in family is (-1)^k f(k) f(n-k) for one factor f, so a row costs n+1
-evaluations of f. A custom kernel stores whole rows; `custom_kernel` checks
-a point table once and converts it. `binomial_pair_row` dresses a row with
-the weights binomial(a+k, a) binomial(a+n-k, a), built once per (n, a).
+built-in family is (-1)^k f(k) f(n-k) for one factor f, and a row walks
+f(0..n) by the factor's exact step ratio f(i+1)/f(i): one multiplication
+and one checked exact division per entry. The point functions in `exact`
+(`gessel`, `super_catalan`, ...) stay on math.comb, an independent
+reference for the rows. A custom kernel stores whole rows; `custom_kernel`
+checks a point table once and converts it. `binomial_pair_row` dresses a
+row with the weights binomial(a+k, a) binomial(a+n-k, a), built once per
+(n, a).
 
 The `bump` field is a fault-injection hook for the verifier's sensitivity
 tests: it adds a delta to the kernel's value at exactly one point, applied
@@ -29,10 +33,10 @@ import random
 from dataclasses import dataclass, replace
 from enum import Enum
 from functools import lru_cache
-from operator import mul
-from typing import Callable, Mapping, Sequence
+from operator import mul, neg
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
-from .exact import binomial, gessel, half_super_catalan, super_catalan
+from .exact import binomial, exact_div
 
 Point = tuple[int, int, int]  # (n, k, a)
 
@@ -104,10 +108,58 @@ class Kernel:
         return self.row(n, a)[k]
 
 
-def _symmetric_row(factor: Callable[[int], int], n: int) -> list[int]:
-    """(-1)^k f(k) f(n-k) for k = 0..n, each f(i) evaluated once."""
-    f = [factor(i) for i in range(n + 1)]
-    return [_sign(k) * f[k] * f[n - k] for k in range(n + 1)]
+def _walk(first: int, nums: Iterable[int], dens: Iterable[int]) -> Iterator[int]:
+    """f(0) = first, then f(i+1) = f(i) nums[i] / dens[i] while both last.
+    Each division is checked exact, so a wrong ratio raises NonDivisible
+    instead of rounding."""
+    f = first
+    yield f
+    for num, den in zip(nums, dens):
+        f = exact_div(f * num, den)
+        yield f
+
+
+def _centrals(n: int) -> Iterator[int]:
+    """binomial(2i, i) for i = 0..n by the step 2(2i+1)/(i+1), lazily, so a
+    scan that stops early walks no further."""
+    return _walk(1, range(2, 4 * n, 4), range(1, n + 1))
+
+
+def _half_central(r: int) -> int:
+    """S(0, r)/2 = P(0, r) = binomial(2r, r)/2."""
+    return exact_div(binomial(2 * r, r), 2)
+
+
+# family -> the factor values f(0..n) of a kernel of order r at (n, a),
+# walked from f(0) by the step ratio f(i+1)/f(i) noted above each entry
+_FACTORS: dict[KernelFamily, Callable[[int, int, int], Iterator[int]]] = {
+    # (a+i+1)/(i+1)
+    KernelFamily.RISING: lambda r, n, a: _walk(1, range(a + 1, a + n + 1), range(1, n + 1)),
+    # 2(2i+1)/(i+1)
+    KernelFamily.CENTRAL: lambda r, n, a: _centrals(n),
+    # 2(2i+1)/(i+r+1)
+    KernelFamily.SUPERCAT: lambda r, n, a: _walk(
+        binomial(2 * r, r), range(2, 4 * n, 4), range(r + 1, r + n + 1)
+    ),
+    # the same step, from S(0, r)/2
+    KernelFamily.HALF_SUPERCAT: lambda r, n, a: _walk(
+        _half_central(r), range(2, 4 * n, 4), range(r + 1, r + n + 1)
+    ),
+    # 2(2i+1)(i+r) / ((i+1)(i+r+1))
+    KernelFamily.GESSEL: lambda r, n, a: _walk(
+        _half_central(r),
+        map(mul, range(2, 4 * n, 4), range(r, r + n)),
+        map(mul, range(1, n + 1), range(r + 1, r + n + 1)),
+    ),
+}
+
+
+def _symmetric_row(kernel: Kernel, n: int, a: int) -> list[int]:
+    """(-1)^k f(k) f(n-k) for k = 0..n, from one walk of the factor f(0..n)."""
+    f = list(_FACTORS[kernel.family](kernel.order, n, a))
+    row = list(map(mul, f, reversed(f)))
+    row[1::2] = map(neg, row[1::2])
+    return row
 
 
 def _custom_row(kernel: Kernel, n: int, a: int) -> Sequence[int]:
@@ -120,15 +172,7 @@ def _custom_row(kernel: Kernel, n: int, a: int) -> Sequence[int]:
 # family -> builder of the unbumped row F(n, 0..n, a)
 _ROW_BUILDERS: dict[KernelFamily, Callable[[Kernel, int, int], Sequence[int]]] = {
     KernelFamily.PLAIN: lambda kern, n, a: [_sign(k) for k in range(n + 1)],
-    KernelFamily.RISING: lambda kern, n, a: _symmetric_row(lambda i: binomial(a + i, i), n),
-    KernelFamily.CENTRAL: lambda kern, n, a: _symmetric_row(lambda i: binomial(2 * i, i), n),
-    KernelFamily.SUPERCAT: lambda kern, n, a: _symmetric_row(
-        lambda i: super_catalan(i, kern.order), n
-    ),
-    KernelFamily.HALF_SUPERCAT: lambda kern, n, a: _symmetric_row(
-        lambda i: half_super_catalan(i, kern.order), n
-    ),
-    KernelFamily.GESSEL: lambda kern, n, a: _symmetric_row(lambda i: gessel(i, kern.order), n),
+    **dict.fromkeys(_FACTORS, _symmetric_row),
     KernelFamily.CUSTOM: _custom_row,
 }
 
@@ -201,10 +245,21 @@ def binomial_pair_kernel(g: Kernel, n: int, a: int) -> Kernel:
 def random_kernel(rng: random.Random, n_max: int, a_max: int) -> Kernel:
     """Custom kernel whose rows (n, a), n <= n_max, a <= a_max, hold values
     drawn uniformly from [-9, 9]. The draw order is (n, k, a) ascending, so
-    a seeded rng reproduces the same kernel."""
+    a seeded rng reproduces the same kernel.
+
+    Each value is the draw rng.randint(-9, 9) makes, spelled out: 5 random
+    bits, redrawn while >= 19, minus 9. That is CPython's randrange path, so
+    values and generator state match randint's, without its three calls
+    per value."""
+    bits = rng.getrandbits
     rows = {}
     for n in range(n_max + 1):
-        drawn = [rng.randint(-9, 9) for _ in range((n + 1) * (a_max + 1))]
+        drawn = []
+        for _ in range((n + 1) * (a_max + 1)):
+            v = bits(5)
+            while v >= 19:
+                v = bits(5)
+            drawn.append(v - 9)
         for a in range(a_max + 1):
             rows[(n, a)] = tuple(drawn[a :: a_max + 1])
     return Kernel(KernelFamily.CUSTOM, rows=rows)

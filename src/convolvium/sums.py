@@ -25,7 +25,8 @@ transplant at j = 0..n from one level-0 vector of G. The scalar functions
 are views over the same per-offset code.
 
 Coefficients that depend only on indices come from bounded caches, each
-entry one O(n) row: `_pascal(n)` holds binomial(n, 0..n) and
+entry one O(n) row: `_pascal(n)` holds binomial(n, 0..n), walked like a
+kernel row by one exact step per entry, and
 `_transplant_weights(n, j, a)` the a+1 transplant coefficients of one offset.
 
 Sums are evaluated in ascending k with plain integer arithmetic; there are no
@@ -41,6 +42,7 @@ from typing import Sequence
 
 from .kernels import (
     Kernel,
+    _walk,
     gessel_kernel,
     half_supercat_kernel,
     supercat_kernel,
@@ -55,9 +57,10 @@ def _check_args(**named: int) -> None:
 
 @lru_cache(maxsize=64)
 def _pascal(n: int) -> tuple[int, ...]:
-    """binomial(n, k) for k = 0..n. A sweep reads the same few small rows
-    tens of thousands of times; the bound keeps big-n rows from piling up."""
-    return tuple([comb(n, k) for k in range(n + 1)])
+    """binomial(n, k) for k = 0..n, walked by the exact step (n-k)/(k+1). A
+    sweep reads the same few small rows tens of thousands of times; the bound
+    keeps big-n rows from piling up."""
+    return tuple(_walk(1, range(n, 0, -1), range(1, n + 1)))
 
 
 def direct_sum(kernel: Kernel, n: int, m: int, a: int = 0) -> int:

@@ -27,9 +27,8 @@ import os
 import random
 import time
 from dataclasses import dataclass, field
-from itertools import accumulate
 from operator import mul
-from typing import Callable, Iterator
+from typing import Callable
 
 from . import closed_forms as cf
 from .exact import (
@@ -37,7 +36,6 @@ from .exact import (
     catalan,
     central_binomial,
     decimal,
-    exact_div,
     half_super_catalan,
     lcm,
     gessel,
@@ -49,6 +47,7 @@ from .kernels import (
     Kernel,
     KernelFamily,
     Point,
+    _centrals,
     binomial_pair_kernel,
     binomial_pair_row,
     random_kernel,
@@ -464,11 +463,6 @@ def _run_eq14(ctx: _SuiteCtx) -> None:
                     binomial(a, b) * binomial(b, c),
                     binomial(a, c) * binomial(a - c, b - c),
                 )
-
-
-def _centrals(window: int) -> Iterator[int]:
-    """binomial(2n, n) for n = 0..window, each from the last by one exact step."""
-    return accumulate(range(1, window + 1), lambda c, n: exact_div(c * (4 * n - 2), n), initial=1)
 
 
 def _run_kr(ctx: _SuiteCtx) -> None:

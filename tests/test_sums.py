@@ -19,6 +19,7 @@ from convolvium import kernels, sums
 from convolvium.cli import main as cli_main
 
 from convolvium.exact import (
+    NonDivisible,
     catalan,
     binomial,
     exact_div,
@@ -190,6 +191,82 @@ def test_family_rows_match_formulas(kern, formula):
             assert row == tuple(kern(n, k, a) for k in range(n + 1))
 
 
+# ------------------------------------------------------------- row walks
+
+
+def _factor_reference(family, param):
+    """The factor f(i) of a built-in family, from math.comb and the point
+    functions; param is the order r, or a for the rising family."""
+    return {
+        "rising": lambda i: math.comb(param + i, i),
+        "central": lambda i: math.comb(2 * i, i),
+        "supercat": lambda i: super_catalan(i, param),
+        "half-supercat": lambda i: half_super_catalan(i, param),
+        "gessel": lambda i: gessel(i, param),
+    }[family]
+
+
+def _walked_row(family, param, n):
+    if family == "rising":
+        return rising_kernel().row(n, param)
+    if family == "central":
+        return central_kernel().row(n, 0)
+    return Kernel(KernelFamily(family), order=param).row(n, 0)
+
+
+_WALKED = ("rising", "central", "supercat", "half-supercat", "gessel")
+
+
+@pytest.mark.parametrize("family", _WALKED)
+def test_walked_rows_match_point_functions(family):
+    # orders 1..5; the rising family's parameter is a, so a = 0 joins them
+    for param in range(0 if family == "rising" else 1, 6):
+        f = _factor_reference(family, param)
+        values = [f(i) for i in range(61)]
+        for n in range(61):
+            want = tuple(_sign(k) * values[k] * values[n - k] for k in range(n + 1))
+            assert _walked_row(family, param, n) == want, (family, param, n)
+
+
+@pytest.mark.parametrize("family", _WALKED)
+def test_walked_row_at_n_400_matches_point_functions(family):
+    f = _factor_reference(family, 3)
+    values = [f(i) for i in range(401)]
+    want = tuple(_sign(k) * values[k] * values[400 - k] for k in range(401))
+    assert _walked_row(family, 3, 400) == want
+
+
+def test_pascal_row_matches_comb():
+    for n in range(301):
+        assert sums._pascal.__wrapped__(n) == tuple(math.comb(n, k) for k in range(n + 1))
+    assert sums._pascal(0) == (1,)
+    assert sums._pascal(1) == (1, 1)
+
+
+def test_walk_checks_every_step():
+    assert list(kernels._walk(1, [4, 6], [2, 3])) == [1, 2, 4]
+    assert list(kernels._walk(5, [], [])) == [5]
+    # the first step is exact, the second is not: the walk stops there
+    walk = kernels._walk(3, [2, 1], [3, 4])
+    assert next(walk) == 3 and next(walk) == 2
+    with pytest.raises(NonDivisible) as err:
+        next(walk)
+    assert (err.value.a, err.value.b, err.value.remainder) == (2, 4, 2)
+    # a wrong Pascal step at n = 5, (n-k)/(k+2), fails loudly instead of flooring
+    with pytest.raises(NonDivisible):
+        list(kernels._walk(1, range(5, 0, -1), range(2, 7)))
+
+
+def test_walked_rows_never_read_the_number_caches():
+    caches = (catalan, super_catalan, gessel)
+    before = [cache.cache_info() for cache in caches]
+    for n in (257, 263):  # no other test asks for these rows
+        gessel_kernel(7).row(n, 6)
+        supercat_kernel(7).row(n, 6)
+        half_supercat_kernel(7).row(n, 6)
+    assert [cache.cache_info() for cache in caches] == before
+
+
 def test_bumped_row_shifts_one_entry():
     base = rising_kernel()
     bumped = with_bump(base, (5, 3, 1), -4)
@@ -223,6 +300,21 @@ def test_random_kernel_rows_replay_the_seeded_draw(n_max, a_max):
         for a in range(a_max + 1):
             assert kern.row(n, a) == tuple(values[(n, k, a)] for k in range(n + 1))
     assert rng.getstate() == replay.getstate()
+
+
+@pytest.mark.parametrize("seed", [0, 1, 24301, 2**64 + 17])
+@pytest.mark.parametrize("n_max,a_max", [(0, 0), (3, 5), (12, 1), (30, 0)])
+def test_random_kernel_draws_what_randint_draws(seed, n_max, a_max):
+    # random_kernel spells out randint(-9, 9) as 5-bit draws with rejection;
+    # on this Python both give the same values and leave the same state
+    rng, reference = random.Random(seed), random.Random(seed)
+    kern = random_kernel(rng, n_max, a_max)
+    for n in range(n_max + 1):
+        drawn = [reference.randint(-9, 9) for _ in range((n + 1) * (a_max + 1))]
+        for a in range(a_max + 1):
+            assert kern.row(n, a) == tuple(drawn[a :: a_max + 1])
+    assert rng.getstate() == reference.getstate()
+    assert rng.random() == reference.random()
 
 
 def test_custom_and_random_rows_read_the_table():
