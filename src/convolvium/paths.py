@@ -9,7 +9,10 @@ endpoints included. A PathSpec forbids touching one of two diagonal sets:
 
 Counting is a straight dynamic program (each cell is left + below, forbidden
 cells are 0, the origin seeds 1 unless itself forbidden). Explicit
-enumeration exists as an independent cross-check for small boards.
+enumeration exists as an independent cross-check for small boards: a
+depth-first walk from the origin that tries R before U and abandons a
+prefix at its first forbidden vertex, so its work follows the admissible
+prefixes rather than all binomial(x+y, x) step strings.
 
 Both interpretations with target (n+r, n+r-1) count the Gessel number
 P(n, r): the tail set with bound r for n >= 0, the band set with bound n for
@@ -18,7 +21,6 @@ n >= 1. verify_interpretations computes both plus the arithmetic formula.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from enum import Enum
 
@@ -103,26 +105,22 @@ def enumerate_paths(spec: PathSpec) -> list[str]:
             f"board {spec.target} has {length} steps, enumeration is capped "
             f"at {ENUMERATION_LIMIT}"
         )
-    if spec.forbids(0, 0):
-        return []
-    found = []
-    for r_positions in itertools.combinations(range(length), x_max):
-        chosen = set(r_positions)
-        x = y = 0
-        steps = []
-        ok = True
-        for i in range(length):
-            if i in chosen:
-                x += 1
-                steps.append("R")
-            else:
-                y += 1
-                steps.append("U")
-            if spec.forbids(x, y):
-                ok = False
-                break
-        if ok:
-            found.append("".join(steps))
+    found: list[str] = []
+
+    def walk(x: int, y: int, steps: str) -> None:
+        # R before U: of two paths, the one taking R where they first part
+        # has the earlier R position, so the order is ascending in them
+        if spec.forbids(x, y):
+            return
+        if x == x_max and y == y_max:
+            found.append(steps)
+            return
+        if x < x_max:
+            walk(x + 1, y, steps + "R")
+        if y < y_max:
+            walk(x, y + 1, steps + "U")
+
+    walk(0, 0, "")
     return found
 
 

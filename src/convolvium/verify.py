@@ -23,12 +23,14 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import os
 import random
 import time
 from dataclasses import dataclass, field
+from itertools import chain
 from operator import mul
-from typing import Callable
+from typing import Callable, Sequence
 
 from . import closed_forms as cf
 from .exact import (
@@ -191,6 +193,31 @@ class _SuiteCtx:
                 }
             )
 
+    def equal_all(
+        self,
+        expected: Sequence[int],
+        actual: Sequence[int],
+        params_at: Callable[[int], dict],
+    ) -> None:
+        """`equal` over two sequences of cases at once: entry i of each is
+        case i, named by params_at(i). An agreeing block costs one
+        comparison; on a mismatch every differing entry is recorded in index
+        order, exactly as `equal` would record it. Both sequences should be
+        of one type (two tuples or two lists), or every block takes the slow
+        walk; their lengths must agree."""
+        self.cases += len(expected)
+        if expected == actual:
+            return
+        for i, (want, got) in enumerate(zip(expected, actual, strict=True)):
+            if want != got:
+                self.violations.append(
+                    {
+                        "parameters": params_at(i),
+                        "expected": decimal(want),
+                        "actual": decimal(got),
+                    }
+                )
+
     def divides(self, params: dict, divisor: int, value: int) -> None:
         self.cases += 1
         rem = value % divisor
@@ -328,6 +355,13 @@ def _run_eq7(ctx: _SuiteCtx) -> None:
                 )
 
 
+def _j_major(vectors: list[tuple[int, ...]]) -> tuple[int, ...]:
+    """The entries of equal-length vectors v_0, v_1, ... ordered by offset
+    first: v_0[0], v_1[0], ..., v_0[1], v_1[1], ...; entry i is offset
+    i // len(vectors) of vector i % len(vectors)."""
+    return tuple(chain.from_iterable(zip(*vectors, strict=True)))
+
+
 def _run_eq8(ctx: _SuiteCtx) -> None:
     p = ctx.params
     entries: list[tuple[str, Kernel, int]] = [
@@ -336,20 +370,20 @@ def _run_eq8(ctx: _SuiteCtx) -> None:
     rng = ctx.rng()
     for i in range(FUZZ_KERNEL_COUNT):
         entries.append((f"custom[{i}]", random_kernel(rng, p["n_max"], 0), 0))
+    levels_up = p["m_max"]
     for label, kern, a in entries:
         for n in range(p["n_max"] + 1):
             # direct side: every level straight from the row; recurrence
             # side: level t+1 from the level-t vector alone
             row = kern.row(n, a)
-            levels = [m_sum_vector(row, t) for t in range(p["m_max"] + 1)]
-            lifted = [m_sum_lift_vector(levels[t], n) for t in range(p["m_max"])]
-            for j in range(n // 2 + 1):
-                for t in range(p["m_max"]):
-                    ctx.equal(
-                        {"kernel": label, "n": n, "j": j, "t": t, "a": a},
-                        levels[t + 1][j],
-                        lifted[t][j],
-                    )
+            levels = [m_sum_vector(row, t) for t in range(levels_up + 1)]
+            lifted = [m_sum_lift_vector(levels[t], n) for t in range(levels_up)]
+
+            def params_at(i: int) -> dict:
+                j, t = divmod(i, levels_up)
+                return {"kernel": label, "n": n, "j": j, "t": t, "a": a}
+
+            ctx.equal_all(_j_major(levels[1:]), _j_major(lifted), params_at)
 
 
 def _transplant_sides(
@@ -371,13 +405,10 @@ def _run_thm2(ctx: _SuiteCtx) -> None:
         for n in range(p["n_max"] + 1):
             for a in range(p["a_max"] + 1):
                 g_row = g.row(n, a)
-                direct, moved = _transplant_sides(binomial_pair_row(g_row, a), g_row, n, a)
-                for j in range(n + 1):
-                    ctx.equal(
-                        {"kernel": f"custom[{i}]", "n": n, "j": j, "a": a},
-                        direct[j],
-                        moved[j],
-                    )
+                ctx.equal_all(
+                    *_transplant_sides(binomial_pair_row(g_row, a), g_row, n, a),
+                    lambda j: {"kernel": f"custom[{i}]", "n": n, "j": j, "a": a},
+                )
     # the named instance: the gessel(r) kernel is the binomial-pair dressing
     # of half-supercat(r) at a = r - 1, so the transplant must reproduce its
     # offset M-sums
@@ -388,12 +419,11 @@ def _run_thm2(ctx: _SuiteCtx) -> None:
         for h in range(h_max + 1):
             n, a = 2 * h, r - 1
             direct, moved = _transplant_sides(q.row(n, a), g.row(n, a), n, a)
-            for j in range(h + 1):
-                ctx.equal(
-                    {"kernel": f"gessel({r})", "n": n, "j": j, "a": a},
-                    direct[j],
-                    moved[j],
-                )
+            ctx.equal_all(
+                direct[: h + 1],
+                moved[: h + 1],
+                lambda j: {"kernel": f"gessel({r})", "n": n, "j": j, "a": a},
+            )
 
 
 def _run_eq2_eq4(ctx: _SuiteCtx) -> None:
@@ -437,20 +467,21 @@ def _run_stanley(ctx: _SuiteCtx) -> None:
     # falling[x][y] = (binomial(x, y), binomial(x, y-1), ..., binomial(x, 0))
     falling = [[row[y::-1] for y in range(top + 1)] for row in pascal[: top + 1]]
     for a in range(top + 1):
+        # down[m][n] = binomial(a+n, m) for n = 0..top
+        down = [[pascal[a + n][m] for n in range(top + 1)] for m in range(top + 1)]
         for b in range(top + 1):
             # binomial(a+b+k, k) for k = 0..top
             rising = [pascal[a + b + k][k] for k in range(top + 1)]
+            from_b = falling[b]
             for m in range(top + 1):
-                from_a = falling[a][m]
-                rhs_row = pascal[b + m]
-                for n in range(top + 1):
-                    # the map stops at k = min(m, n), where one slice runs out
-                    lhs = sum(map(mul, map(mul, from_a, falling[b][n]), rising))
-                    ctx.equal(
-                        {"a": a, "b": b, "m": m, "n": n},
-                        pascal[a + n][m] * rhs_row[n],
-                        lhs,
-                    )
+                # binomial(a, m-k) binomial(a+b+k, k) for k = 0..m; each sum
+                # stops at k = min(m, n), where one of its slices runs out
+                w = list(map(mul, falling[a][m], rising))
+                ctx.equal_all(
+                    list(map(mul, down[m], pascal[b + m])),
+                    [sum(map(mul, w, to_n)) for to_n in from_b],
+                    lambda n: {"a": a, "b": b, "m": m, "n": n},
+                )
 
 
 def _run_eq14(ctx: _SuiteCtx) -> None:
@@ -756,15 +787,24 @@ def _resolve_params(spec: SuiteSpec, sweep: SweepRange) -> tuple[dict[str, int],
 
 
 def _resolve_budget(budget_ms: float | None) -> float:
+    """budget_ms if given, else CONVOLVIUM_BUDGET_MS if set, else the
+    default. NaN is refused like a non-number: no estimate compares greater
+    than NaN, so it would switch the guard off."""
     if budget_ms is not None:
-        return float(budget_ms)
+        budget = float(budget_ms)
+        if math.isnan(budget):
+            raise ValueError("budget_ms must be a number, got NaN")
+        return budget
     raw = os.environ.get(BUDGET_ENV_VAR)
-    if raw is not None:
-        try:
-            return float(raw)
-        except ValueError:
-            raise ValueError(f"{BUDGET_ENV_VAR} must be numeric, got {raw!r}") from None
-    return DEFAULT_BUDGET_MS
+    if raw is None:
+        return DEFAULT_BUDGET_MS
+    try:
+        budget = float(raw)
+    except ValueError:
+        budget = math.nan
+    if math.isnan(budget):
+        raise ValueError(f"{BUDGET_ENV_VAR} must be numeric, got {raw!r}")
+    return budget
 
 
 def run_suite(

@@ -9,9 +9,14 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import convolvium
 from convolvium.cli import main
 
 _TRIM_FLAGS = ["--n-max", "3", "--m-max", "2", "--r-max", "2", "--a-max", "1"]
@@ -144,6 +149,31 @@ def test_verify_malformed_budget_is_a_usage_error(capsys, monkeypatch):
 _GOLDEN_REPORT_SHA256 = "e7b24ce45eac6fe3b73e906efcca67e101e514a57d80875130dc5b70a18d9903"
 
 
+def _cli_subprocess(*argv, timeout, **env):
+    """`python -m convolvium ARGV` in a fresh interpreter, killed after
+    `timeout` seconds."""
+    src = str(Path(convolvium.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "convolvium", *argv],
+        env={**os.environ, "PYTHONPATH": path, **env},
+        capture_output=True,
+        text=True,
+        timeout=timeout,
+    )
+
+
+@pytest.mark.parametrize("argv", [["kr", "--n-max", "200000"], ["all"]])
+def test_verify_nan_budget_is_a_usage_error(argv):
+    # every estimate compares false with NaN, so a NaN budget taken as a
+    # number would let kr's 200001-entry window run for minutes; it must be
+    # refused before any suite runs
+    done = _cli_subprocess("verify", *argv, timeout=30, CONVOLVIUM_BUDGET_MS="nan")
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert "CONVOLVIUM_BUDGET_MS" in done.stderr
+
+
 def test_verify_all_json_matches_golden_digest(capsys, monkeypatch):
     monkeypatch.delenv("CONVOLVIUM_BUDGET_MS", raising=False)
     code, out, _ = run(capsys, "verify", "all", "--format", "json")
@@ -169,6 +199,16 @@ def test_paths_count_and_list(capsys):
     assert sorted(out.split()) == ["RRRUU", "RRURU", "RURRU", "URRRU"]
     code, out, _ = run(capsys, "paths", "--n", "1", "--r", "2", "--interpretation", "prefix")
     assert code == 0 and out == "4\n"
+
+
+def test_paths_lists_all_16796_paths_of_n10_r1():
+    # the catalan(10) paths below the diagonal, R positions ascending
+    done = _cli_subprocess("paths", "--n", "10", "--r", "1", "--list", timeout=20)
+    assert done.returncode == 0
+    lines = done.stdout.splitlines()
+    assert len(lines) == len(set(lines)) == 16796
+    assert lines[0] == "R" * 11 + "U" * 10
+    assert lines[-1] == "R" + "RU" * 10
 
 
 def test_paths_board_too_large_for_listing(capsys):

@@ -6,6 +6,7 @@ counts to independently known quantities (Catalan numbers, raw binomials).
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import pytest
@@ -70,6 +71,47 @@ def test_enumeration_respects_forbidden_set():
         for step in path:
             x, y = (x + 1, y) if step == "R" else (x, y + 1)
             assert not spec.forbids(x, y)
+
+
+def _filtered_combinations(spec):
+    """The reference enumeration: every choice of R positions, in
+    itertools.combinations order, kept when no vertex of its path is
+    forbidden."""
+    x_max, y_max = spec.target
+    length = x_max + y_max
+    if spec.forbids(0, 0):
+        return []
+    found = []
+    for r_positions in itertools.combinations(range(length), x_max):
+        chosen = set(r_positions)
+        x = y = 0
+        steps = []
+        ok = True
+        for i in range(length):
+            if i in chosen:
+                x += 1
+                steps.append("R")
+            else:
+                y += 1
+                steps.append("U")
+            if spec.forbids(x, y):
+                ok = False
+                break
+        if ok:
+            found.append("".join(steps))
+    return found
+
+
+def test_walk_matches_the_combinations_filter():
+    # same paths in the same order on every small board, both touch sets
+    # and bounds 0-8; a gessel tail of bound 0 forbids the origin itself
+    for x in range(15):
+        for y in range(15 - x):
+            for touch in TouchSet:
+                for bound in range(9):
+                    spec = PathSpec((x, y), touch, bound)
+                    assert enumerate_paths(spec) == _filtered_combinations(spec), spec
+            assert enumerate_paths(PathSpec((x, y), TouchSet.GESSEL_TAIL, 0)) == []
 
 
 def test_both_interpretations_equal_the_gessel_number():

@@ -279,6 +279,29 @@ def test_bumped_row_shifts_one_entry():
     assert with_bump(base, (5, 6, 1), 9).row(5, 1) == base.row(5, 1)
 
 
+def test_row_cache_keeps_bumped_and_plain_rows_apart():
+    # asked in turn at one (n, a), each kernel gets its own row, however
+    # the two alternate
+    base = gessel_kernel(3)
+    bumped = with_bump(base, (9, 4, 2), 5)
+    plain = base.row(9, 2)
+    for _ in range(2):
+        assert bumped.row(9, 2)[4] == plain[4] + 5
+        assert base.row(9, 2) == plain
+        assert Kernel(KernelFamily.GESSEL, order=3).row(9, 2) == plain
+    assert bumped.row(9, 2)[:4] == plain[:4] and bumped.row(9, 2)[5:] == plain[5:]
+
+
+def test_custom_rows_bypass_the_row_cache():
+    kern = random_kernel(random.Random(11), 6, 2)
+    before = kernels._builtin_row.cache_info()
+    for n in range(7):
+        for a in range(3):
+            kern.row(n, a)
+            with_bump(kern, (n, 0, a), 1).row(n, a)
+    assert kernels._builtin_row.cache_info() == before
+
+
 def _replayed_draw(seed, n_max, a_max):
     """The seeded draw spelled out point by point, (n, k, a) ascending: the
     values by point, and the generator after the last draw."""
@@ -701,12 +724,19 @@ def test_binomial_pair_row_validation():
 
 def test_coefficient_caches_are_bounded(capsys):
     new_caches = (kernels._pair_weights, sums._transplant_weights)
-    for cache in (*new_caches, sums._pascal, catalan, super_catalan, gessel):
+    rows = kernels._builtin_row
+    for cache in (*new_caches, rows, sums._pascal, catalan, super_catalan, gessel):
         assert cache.cache_info().maxsize is not None
     # a table sweep over more (n, r) pairs than the cache holds stays bounded
     assert cli_main(["table", "gessel", "--n-max", "1500", "--r-max", "3"]) == 0
     assert capsys.readouterr().out.count("\n") == 1 + 1501 * 3
     assert gessel.cache_info().currsize <= gessel.cache_info().maxsize
+    # so does a convolution sweep over more kernel rows than the row cache holds
+    misses = rows.cache_info().misses
+    assert cli_main(["table", "phi", "--n-max", "40", "--r-max", "3"]) == 0
+    assert capsys.readouterr().out.count("\n") == 1 + 41 * 3
+    assert rows.cache_info().misses - misses >= 41 * 3 > rows.cache_info().maxsize
+    assert rows.cache_info().currsize <= rows.cache_info().maxsize
     # a scalar M-sum at a large n adds no entry to either new cache, and
     # only the two O(n) Pascal rows it reads (n for the weights, n - 2j for
     # the inner sum) to the older one; never an O(n^2) table

@@ -116,6 +116,8 @@ def test_minimum_clamping_is_noted():
 def test_budget_guard():
     with pytest.raises(RangeTooLarge):
         run_suite("theorem1", budget_ms=0)
+    with pytest.raises(ValueError, match="NaN"):
+        run_suite("eq14", budget_ms=math.nan)  # no estimate exceeds NaN
     with pytest.raises(RangeTooLarge):
         run_suite("stanley", SweepRange(n_max=500))  # default budget, absurd range
     # an explicit generous budget admits the default range
@@ -126,9 +128,10 @@ def test_budget_env_var(monkeypatch):
     monkeypatch.setenv("CONVOLVIUM_BUDGET_MS", "0")
     with pytest.raises(RangeTooLarge):
         run_suite("kr")
-    monkeypatch.setenv("CONVOLVIUM_BUDGET_MS", "not-a-number")
-    with pytest.raises(ValueError):
-        run_suite("remark1")
+    for raw in ("not-a-number", "nan", "NaN", "-nan"):
+        monkeypatch.setenv("CONVOLVIUM_BUDGET_MS", raw)
+        with pytest.raises(ValueError, match="CONVOLVIUM_BUDGET_MS"):
+            run_suite("remark1")
 
 
 def test_run_all_converts_errors_to_failing_reports():
@@ -246,6 +249,13 @@ def test_kernel_bump_validation():
 _SIDES = SweepRange(n_max=4, m_max=2, r_max=1, a_max=1)
 
 
+def _sha256(report):
+    # sha256 of `reports_to_json([report])`: pins the order and content of
+    # every violation, so a suite that compares whole blocks of cases at
+    # once must record exactly what comparing case by case recorded
+    return hashlib.sha256(reports_to_json([report]).encode()).hexdigest()
+
+
 def _shift_first(fn, *, skip=lambda *args: False):
     def shifted(*args):
         out = fn(*args)
@@ -257,14 +267,28 @@ def _shift_first(fn, *, skip=lambda *args: False):
 def test_eq8_sees_a_corrupted_lift(monkeypatch):
     assert run_suite("eq8", _SIDES).passed
     monkeypatch.setattr(verify, "m_sum_lift_vector", _shift_first(verify.m_sum_lift_vector))
-    assert not run_suite("eq8", _SIDES).passed
+    report = run_suite("eq8", _SIDES)
+    assert len(report.violations) == 570
+    assert _sha256(report) == "725113d12953659468e878aa27cf9944dbd64bf0a3e539d5fdc3c2a52ea0fbaf"
+
+
+def test_eq8_reports_a_corrupted_block_offset_first(monkeypatch):
+    # every lifted entry wrong: one violation per case, ordered by n, then
+    # offset j, then level t, as the case-by-case loop recorded them
+    real = verify.m_sum_lift_vector
+    monkeypatch.setattr(verify, "m_sum_lift_vector", lambda *args: tuple(v + 1 for v in real(*args)))
+    report = run_suite("eq8", _SIDES)
+    assert len(report.violations) == report.cases_checked == 1026
+    assert _sha256(report) == "5ef90e6758ba287662a0f2bb9b0506d1688d70cc4f12c3dffbb2526c9924e1b1"
 
 
 def test_eq8_sees_a_corrupted_direct_level(monkeypatch):
     # levels t >= 1 are the direct side; level 0 only feeds the lift
     shifted = _shift_first(verify.m_sum_vector, skip=lambda row, t: t == 0)
     monkeypatch.setattr(verify, "m_sum_vector", shifted)
-    assert not run_suite("eq8", _SIDES).passed
+    report = run_suite("eq8", _SIDES)
+    assert len(report.violations) == 285
+    assert _sha256(report) == "6fdae742ca3730b6921d3c2019e073e2dbf36e9152bfd5f43658f4e8c0b03f7c"
 
 
 def test_thm2_sees_a_corrupted_transplant(monkeypatch):
@@ -272,13 +296,17 @@ def test_thm2_sees_a_corrupted_transplant(monkeypatch):
     monkeypatch.setattr(
         verify, "theorem2_transform_vector", _shift_first(verify.theorem2_transform_vector)
     )
-    assert not run_suite("thm2", _SIDES).passed
+    report = run_suite("thm2", _SIDES)
+    assert len(report.violations) == 505
+    assert _sha256(report) == "40e986ca2b80d6798bfe8e0cd47aee14054e963abb2f5fbbfa85a3d69be0ed6f"
 
 
 def test_thm2_sees_a_corrupted_dressed_kernel(monkeypatch):
     # the dressed row is the direct side: shift its k = 0 entry
     monkeypatch.setattr(verify, "binomial_pair_row", _shift_first(verify.binomial_pair_row))
-    assert not run_suite("thm2", _SIDES).passed
+    report = run_suite("thm2", _SIDES)
+    assert len(report.violations) == 500
+    assert _sha256(report) == "70f4a1cd285bb49fa050594eaa2f51fde4d56445f124411caf80698123e04f41"
 
 
 def test_stanley_sees_a_corrupted_binomial(monkeypatch):
@@ -292,6 +320,7 @@ def test_stanley_sees_a_corrupted_binomial(monkeypatch):
     )
     rep = run_suite("stanley")
     assert len(rep.violations) == 1602
+    assert _sha256(rep) == "bc3bf4edc1c84c92143d62f7fc1ef65515586d9e325eb07ec5de441d2c949997"
 
 
 @pytest.mark.parametrize("side", ["direct_sum", "m_sum"])
