@@ -150,7 +150,6 @@ def _build_parser() -> argparse.ArgumentParser:
     tab.add_argument("--n-max", dest="n_max", type=int, default=None)
     tab.add_argument("--r-max", dest="r_max", type=int, default=None)
     tab.add_argument("--m", type=int, default=1)
-    tab.add_argument("--format", choices=("csv",), default="csv")
 
     return parser
 

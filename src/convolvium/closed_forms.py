@@ -7,20 +7,14 @@ the plain, rising-factor, and central-binomial alternating sums, PSI the
 supercat kernel, PHI the gessel kernel; T0/T1 is the weight level t. All
 functions take the half index n and correspond to M-sums at composite index
 2n; offsets j > n return 0 to match the vanishing M-sum.
-
-Where a family's natural grouping is a ratio whose integrality is only
-guaranteed for the total, the terms accumulate as exact rationals and the
-result asserts an integer at the end (a failed assertion raises NonDivisible,
-the same loud signal as a violated divisibility claim).
 """
 
 from __future__ import annotations
 
+import math
 from enum import Enum
-from fractions import Fraction
 
 from .exact import (
-    NonDivisible,
     binomial,
     exact_div,
     half_super_catalan,
@@ -165,8 +159,10 @@ def closed_psi_t1(n: int, j: int, r: int) -> int:
 def closed_phi_t0(n: int, j: int, r: int) -> int:
     """Gessel(r) kernel, level 0, at any offset j.
 
-    Individual terms of the inner sum are not integers in general, so they
-    accumulate as exact rationals; the prefactored total is asserted integral.
+    Term l of the inner sum has denominator d_l = 2 binomial(2n-j+l+1, n)
+    and is not an integer in general; only the prefactored total is. The
+    terms are put over D = lcm of the d_l and the total is finished with one
+    exact division by D, so a non-integral total raises NonDivisible.
     """
     if n < 0 or j < 0:
         raise ValueError("n and j must be non-negative")
@@ -180,23 +176,18 @@ def closed_phi_t0(n: int, j: int, r: int) -> int:
         * half_super_catalan(n, r)
         * binomial(2 * n - j, n)
     )
-    total = Fraction(0)
-    for l in range(r):
-        total += (
-            _sign(l)
-            * binomial(2 * n - j + l, l)
-            * binomial(n - j, r - 1 - l)
-            * Fraction(
-                binomial(2 * (j + r - 1 - l), j + r - 1 - l)
-                * binomial(2 * (n - j + l + 1), n - j + l + 1),
-                2 * binomial(2 * n - j + l + 1, n),
-            )
-        )
-    value = prefactor * total
-    if value.denominator != 1:
-        raise NonDivisible(value.numerator, value.denominator,
-                           value.numerator % value.denominator)
-    return int(value)
+    dens = [2 * binomial(2 * n - j + l + 1, n) for l in range(r)]
+    common = math.lcm(*dens)
+    total = sum(
+        _sign(l)
+        * binomial(2 * n - j + l, l)
+        * binomial(n - j, r - 1 - l)
+        * binomial(2 * (j + r - 1 - l), j + r - 1 - l)
+        * binomial(2 * (n - j + l + 1), n - j + l + 1)
+        * (common // den)
+        for l, den in enumerate(dens)
+    )
+    return exact_div(prefactor * total, common)
 
 
 def closed_phi_origin(n: int, r: int) -> int:

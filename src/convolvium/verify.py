@@ -788,12 +788,13 @@ def _resolve_params(spec: SuiteSpec, sweep: SweepRange) -> tuple[dict[str, int],
 
 def _resolve_budget(budget_ms: float | None) -> float:
     """budget_ms if given, else CONVOLVIUM_BUDGET_MS if set, else the
-    default. NaN is refused like a non-number: no estimate compares greater
-    than NaN, so it would switch the guard off."""
+    default. A non-finite budget is refused like a non-number: no estimate
+    compares greater than NaN or infinity, so either would switch the guard
+    off."""
     if budget_ms is not None:
         budget = float(budget_ms)
-        if math.isnan(budget):
-            raise ValueError("budget_ms must be a number, got NaN")
+        if not math.isfinite(budget):
+            raise ValueError(f"budget_ms must be finite, not NaN or infinite, got {budget}")
         return budget
     raw = os.environ.get(BUDGET_ENV_VAR)
     if raw is None:
@@ -802,8 +803,8 @@ def _resolve_budget(budget_ms: float | None) -> float:
         budget = float(raw)
     except ValueError:
         budget = math.nan
-    if math.isnan(budget):
-        raise ValueError(f"{BUDGET_ENV_VAR} must be numeric, got {raw!r}")
+    if not math.isfinite(budget):
+        raise ValueError(f"{BUDGET_ENV_VAR} must be a finite number, got {raw!r}")
     return budget
 
 

@@ -17,6 +17,7 @@ from pathlib import Path
 import pytest
 
 import convolvium
+from convolvium import closed_forms, verify
 from convolvium.cli import main
 
 _TRIM_FLAGS = ["--n-max", "3", "--m-max", "2", "--r-max", "2", "--a-max", "1"]
@@ -68,13 +69,31 @@ def test_compute_usage_errors(capsys):
     assert code == 2 and out == ""
 
 
+def test_compute_failed_exact_division_exits_one(capsys, monkeypatch):
+    # every binomial read as 1 leaves the phi-j-t0 total at 1/2
+    monkeypatch.setattr(closed_forms, "binomial", lambda n, k: 1)
+    code, out, err = run(capsys, "compute", "closed-form", "--family", "phi-j-t0", "--n", "1")
+    assert code == 1 and out == ""
+    assert "does not divide" in err
+
+
 # ---------------------------------------------------------------------- verify
 
 
-def test_verify_single_suite_plain(capsys):
+def test_verify_single_suite_plain(capsys, monkeypatch):
     code, out, _ = run(capsys, "verify", "remark1")
     assert code == 0
     assert out == "remark1 PASS cases=4 violations=0\n"
+    code, out, _ = run(capsys, "verify", "paths", "--n-max", "0")
+    assert code == 0
+    assert out.splitlines()[1] == "  note: n_max raised to 1 (suite minimum)"
+    monkeypatch.setattr(verify, "direct_sum", lambda *args: 1171)
+    code, out, _ = run(capsys, "verify", "remark1")
+    assert code == 1
+    lines = out.splitlines()
+    assert lines[0] == "remark1 FAIL cases=4 violations=4"
+    assert lines[1] == "  at {'n': 3, 'm': 1, 'r': 2}: expected 1170, got 1171"
+    assert len(lines) == 5
 
 
 def test_verify_single_suite_json(capsys):
@@ -174,6 +193,15 @@ def test_verify_nan_budget_is_a_usage_error(argv):
     assert "CONVOLVIUM_BUDGET_MS" in done.stderr
 
 
+def test_verify_infinite_budget_is_a_usage_error():
+    # kr's own estimate is infinite past r_max 40, and nothing exceeds an
+    # infinite budget: taken as a number it would start ~8.7e24 candidates
+    done = _cli_subprocess("verify", "kr", "--r-max", "41", timeout=30, CONVOLVIUM_BUDGET_MS="inf")
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert "CONVOLVIUM_BUDGET_MS" in done.stderr
+
+
 def test_verify_all_json_matches_golden_digest(capsys, monkeypatch):
     monkeypatch.delenv("CONVOLVIUM_BUDGET_MS", raising=False)
     code, out, _ = run(capsys, "verify", "all", "--format", "json")
@@ -255,9 +283,22 @@ def test_table_phi_uses_weight(capsys):
     assert rows[(3, 2)] == 1170
 
 
+def test_table_binomial(capsys):
+    code, out, _ = run(capsys, "table", "binomial", "--n-max", "2")
+    assert code == 0
+    assert out.splitlines() == ["n,k,value", "0,0,1", "1,0,1", "1,1,1", "2,0,1", "2,1,2", "2,2,1"]
+
+
 def test_table_usage_errors(capsys):
     code, _, err = run(capsys, "table", "gessel")
     assert code == 2 and "--n-max" in err
+    code, _, err = run(capsys, "table", "catalan", "--n-max", "-1")
+    assert code == 2 and "--n-max" in err
+    code, _, err = run(capsys, "table", "gessel", "--n-max", "2", "--r-max", "0")
+    assert code == 2 and "--r-max" in err
+    # table always writes CSV; it has no --format option
+    code, _, err = run(capsys, "table", "catalan", "--n-max", "2", "--format", "csv")
+    assert code == 2 and "unrecognized arguments" in err
     code, _, _ = run(capsys, "table", "phi", "--n-max", "2", "--m", "0")
     assert code == 2
     code, _, _ = run(capsys, "table", "nope", "--n-max", "2")

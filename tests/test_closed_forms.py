@@ -9,9 +9,15 @@ trips loudly.
 from __future__ import annotations
 
 import inspect
+import os
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import convolvium
 from convolvium import closed_forms
 from convolvium.closed_forms import (
     FAMILY_MSUM,
@@ -29,7 +35,8 @@ from convolvium.closed_forms import (
     closed_s3_t0,
     msum_counterpart,
 )
-from convolvium.kernels import PARAMETERIZED_FAMILIES, custom_kernel
+from convolvium.exact import NonDivisible, binomial, half_super_catalan
+from convolvium.kernels import PARAMETERIZED_FAMILIES, _sign, custom_kernel
 
 
 def test_every_family_has_a_parameter_signature():
@@ -68,6 +75,61 @@ def test_phi_offset_form_takes_the_rational_path():
     # at n=3, j=0, r=2 an individual term of the inner sum is not an
     # integer; the total still is, and equals the offset-0 golden value
     assert closed_phi_t0(3, 0, 2) == 1170
+
+
+def _phi_t0_by_fractions(n, j, r):
+    """closed_phi_t0 with the inner terms accumulated as exact rationals,
+    the reference for the common-denominator form."""
+    if j > n:
+        return 0
+    prefactor = (
+        _sign(j + r - 1)
+        * binomial(j + r - 1, j)
+        * half_super_catalan(n, r)
+        * binomial(2 * n - j, n)
+    )
+    total = sum(
+        _sign(l)
+        * binomial(2 * n - j + l, l)
+        * binomial(n - j, r - 1 - l)
+        * Fraction(
+            binomial(2 * (j + r - 1 - l), j + r - 1 - l)
+            * binomial(2 * (n - j + l + 1), n - j + l + 1),
+            2 * binomial(2 * n - j + l + 1, n),
+        )
+        for l in range(r)
+    )
+    value = prefactor * total
+    assert value.denominator == 1
+    return value.numerator
+
+
+def test_phi_offset_form_matches_rational_reference():
+    # 2800 points: every offset up to one past the half index
+    for n in range(25):
+        for j in range(n + 2):
+            for r in range(1, 9):
+                assert closed_phi_t0(n, j, r) == _phi_t0_by_fractions(n, j, r), (n, j, r)
+
+
+def test_phi_offset_form_raises_on_a_non_integral_total(monkeypatch):
+    # with every binomial read as 1 the total is 1/2
+    monkeypatch.setattr(closed_forms, "binomial", lambda n, k: 1)
+    with pytest.raises(NonDivisible):
+        closed_phi_t0(1, 0, 1)
+
+
+def test_import_leaves_fractions_out():
+    src = str(Path(convolvium.__file__).resolve().parent.parent)
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", "import sys, convolvium; print('fractions' in sys.modules)"],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=30,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "False\n"
 
 
 def test_phi_origin_agrees_with_offset_form_at_zero():
@@ -120,5 +182,23 @@ def test_validation():
         closed_phi_t0(2, -1, 1)
     with pytest.raises(ValueError):
         closed_phi_origin(-1, 1)
+    with pytest.raises(ValueError):
+        closed_phi_origin(2, 0)
+    with pytest.raises(ValueError):
+        closed_phi_t0(2, 0, 0)
+    with pytest.raises(ValueError):
+        closed_psi_t0(-1, 0, 1)
+    with pytest.raises(ValueError):
+        closed_s1_t1(-1, 0)
+    with pytest.raises(ValueError):
+        closed_s2_t0(2, 0, -1)
+    with pytest.raises(ValueError):
+        closed_s2_t1(2, -1, 0)
+    with pytest.raises(ValueError):
+        closed_s3_t0(-1, 0)
+    with pytest.raises(ValueError):
+        closed_psi_t1(2, 0, 0)
+    with pytest.raises(ValueError):
+        closed_psi_t1(-1, 0, 1)
     with pytest.raises(ValueError):
         closed_form("no-such-family", n=1)

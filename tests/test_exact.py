@@ -150,6 +150,8 @@ def test_super_catalan_small_values():
     assert super_catalan(2, 2) == 6
     assert super_catalan(3, 2) == 12
     assert super_catalan(3, 3) == 20
+    with pytest.raises(ValueError):
+        super_catalan(-1, 2)
 
 
 @given(st.integers(0, 40), st.integers(0, 40))

@@ -118,6 +118,11 @@ def test_budget_guard():
         run_suite("theorem1", budget_ms=0)
     with pytest.raises(ValueError, match="NaN"):
         run_suite("eq14", budget_ms=math.nan)  # no estimate exceeds NaN
+    for budget in (math.inf, -math.inf):  # nor infinity
+        with pytest.raises(ValueError, match="NaN or infinite"):
+            run_suite("eq14", budget_ms=budget)
+    with pytest.raises(RangeTooLarge, match="inf ms"):
+        run_suite("kr", SweepRange(r_max=41))  # kr's estimate is infinite past r_max 40
     with pytest.raises(RangeTooLarge):
         run_suite("stanley", SweepRange(n_max=500))  # default budget, absurd range
     # an explicit generous budget admits the default range
@@ -128,7 +133,7 @@ def test_budget_env_var(monkeypatch):
     monkeypatch.setenv("CONVOLVIUM_BUDGET_MS", "0")
     with pytest.raises(RangeTooLarge):
         run_suite("kr")
-    for raw in ("not-a-number", "nan", "NaN", "-nan"):
+    for raw in ("not-a-number", "nan", "NaN", "-nan", "inf", "Infinity", "-inf", "1e999"):
         monkeypatch.setenv("CONVOLVIUM_BUDGET_MS", raw)
         with pytest.raises(ValueError, match="CONVOLVIUM_BUDGET_MS"):
             run_suite("remark1")
