@@ -5,7 +5,8 @@ paths (the lattice-path oracle), table (CSV sweeps of a quantity). Data goes
 to stdout, diagnostics to stderr, nothing is written to disk unless --out is
 given. Exit codes: 0 for success or an all-green verification, 1 when any
 suite reports violations (or compute hits a failed exact division), 2 for
-usage errors, unknown names, and over-budget ranges.
+usage errors, unknown names, over-budget ranges, and an --out file that
+cannot be written.
 
 All numeric output is exact decimal; there is no floating point anywhere.
 """
@@ -48,24 +49,8 @@ _CONVOLUTIONS = {
     "quarter-psi": quarter_psi,
 }
 
-_COMPUTE_QUANTITIES = (
-    "binomial",
-    "catalan",
-    "supercatalan",
-    "gessel",
-    *_CONVOLUTIONS,
-    "msum",
-    "closed-form",
-)
-
-_TABLE_QUANTITIES = (
-    "binomial",
-    "catalan",
-    "supercatalan",
-    "gessel",
-    *_CONVOLUTIONS,
-    "kr",
-)
+# the quantities both compute and table offer
+_SHARED_QUANTITIES = ("binomial", "catalan", "supercatalan", "gessel", *_CONVOLUTIONS)
 
 # kernel families constructible from the command line (custom needs a table)
 _CLI_KERNELS = tuple(f.value for f in KernelFamily if f is not KernelFamily.CUSTOM)
@@ -91,7 +76,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "2n) with defaults m=1, r=1; msum takes the full index n with "
         "defaults j=0, t=0, a=0 and uses --r as the kernel order.",
     )
-    comp.add_argument("quantity", choices=_COMPUTE_QUANTITIES)
+    comp.add_argument("quantity", choices=(*_SHARED_QUANTITIES, "msum", "closed-form"))
     comp.add_argument("--n", type=int, help="main index")
     comp.add_argument("--k", type=int, help="binomial lower index")
     comp.add_argument("--m", type=int, help="binomial weight exponent (default 1)")
@@ -146,7 +131,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--n-max and r up to --r-max (default 5); phi, psi, and quarter-psi "
         "evaluate at weight --m (default 1); kr needs only --r-max.",
     )
-    tab.add_argument("quantity", choices=_TABLE_QUANTITIES)
+    tab.add_argument("quantity", choices=(*_SHARED_QUANTITIES, "kr"))
     tab.add_argument("--n-max", dest="n_max", type=int, default=None)
     tab.add_argument("--r-max", dest="r_max", type=int, default=None)
     tab.add_argument("--m", type=int, default=1)
@@ -235,7 +220,10 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         text = "\n".join(_plain_report_lines(reports)) + "\n"
 
     if args.out is not None:
-        args.out.write_text(text)
+        try:
+            args.out.write_text(text)
+        except OSError as exc:
+            raise _UsageError(f"cannot write report to {args.out}: {exc.strerror or exc}") from exc
         print(f"wrote {args.out}", file=sys.stderr)
     else:
         sys.stdout.write(text)

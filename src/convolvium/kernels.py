@@ -23,18 +23,18 @@ row with the weights binomial(a+k, a) binomial(a+n-k, a), built once per
 (n, a).
 
 Built-in rows are memoised in `_builtin_row`, an lru_cache of 16 rows
-keyed by (family, order, bump, n, a), so a bumped kernel and its unbumped
-twin never share a row; custom kernels store their rows and bypass it. The
-verifier asks for the same few rows over and over: one default `verify all`
-makes 4205 row requests for 341 distinct rows, and an LRU of 2, 8, 16 or
-64 rows misses 1833, 1112, 1112 or 968 of them. Sixteen is twice the size
-where the misses level off. A big-n sweep that asks for each row once gains
-nothing and keeps at most 16 rows (about 0.74 MB after one pass of the
-bigint-sweep benchmark).
+keyed by (family, order, n, a); custom kernels store their rows and bypass
+it. The verifier asks for the same few rows over and over: one default
+`verify all` makes 4205 row requests for 341 distinct rows, and an LRU of
+2, 8, 16 or 64 rows misses 1833, 1112, 1112 or 968 of them. Sixteen is
+twice the size where the misses level off. A big-n sweep that asks for
+each row once gains nothing and keeps at most 16 rows (about 0.74 MB after
+one pass of the bigint-sweep benchmark).
 
 The `bump` field is a fault-injection hook for the verifier's sensitivity
 tests: it adds a delta to the kernel's value at exactly one point, applied
-when the row holding that point is built.
+when `Kernel.row` serves the row holding that point. A bumped kernel and its
+unbumped twin share one cached row, and no cache key carries the bump.
 """
 
 from __future__ import annotations
@@ -104,8 +104,10 @@ class Kernel:
         if n < 0 or a < 0:
             raise KernelDomainError(f"kernel row out of domain: n={n}, a={a}")
         if self.rows is not None:
-            return _bumped(_custom_row(self.rows, n, a), self.bump, n, a)
-        return _builtin_row(self.family, self.order, self.bump, n, a)
+            row = _custom_row(self.rows, n, a)
+        else:
+            row = _builtin_row(self.family, self.order, n, a)
+        return _bumped(row, self.bump, n, a)
 
     def __call__(self, n: int, k: int, a: int) -> int:
         if n < 0 or a < 0 or k < 0 or k > n:
@@ -139,7 +141,9 @@ def _half_central(r: int) -> int:
 
 # family -> the factor values f(0..n) of a kernel of order r at (n, a),
 # walked from f(0) by the step ratio f(i+1)/f(i) noted above each entry
-_FACTORS: dict[KernelFamily, Callable[[int, int, int], Iterator[int]]] = {
+_FACTORS: dict[KernelFamily, Callable[[int, int, int], Iterable[int]]] = {
+    # f = 1
+    KernelFamily.PLAIN: lambda r, n, a: [1] * (n + 1),
     # (a+i+1)/(i+1)
     KernelFamily.RISING: lambda r, n, a: _walk(1, range(a + 1, a + n + 1), range(1, n + 1)),
     # 2(2i+1)/(i+1)
@@ -159,14 +163,6 @@ _FACTORS: dict[KernelFamily, Callable[[int, int, int], Iterator[int]]] = {
         map(mul, range(1, n + 1), range(r + 1, r + n + 1)),
     ),
 }
-
-
-def _symmetric_row(family: KernelFamily, order: int | None, n: int, a: int) -> list[int]:
-    """(-1)^k f(k) f(n-k) for k = 0..n, from one walk of the factor f(0..n)."""
-    f = list(_FACTORS[family](order, n, a))
-    row = list(map(mul, f, reversed(f)))
-    row[1::2] = map(neg, row[1::2])
-    return row
 
 
 def _custom_row(
@@ -191,16 +187,14 @@ def _bumped(
 
 
 @lru_cache(maxsize=16)
-def _builtin_row(
-    family: KernelFamily, order: int | None, bump: tuple[Point, int] | None, n: int, a: int
-) -> tuple[int, ...]:
-    """The row F(n, 0..n, a) of the built-in kernel (family, order, bump),
-    bump included; see the module docstring for the bound."""
-    if family is KernelFamily.PLAIN:
-        values = [_sign(k) for k in range(n + 1)]
-    else:
-        values = _symmetric_row(family, order, n, a)
-    return _bumped(values, bump, n, a)
+def _builtin_row(family: KernelFamily, order: int | None, n: int, a: int) -> tuple[int, ...]:
+    """The row (-1)^k f(k) f(n-k), k = 0..n, of the built-in kernel (family,
+    order) at (n, a), from one walk of its factor f(0..n); never bumped. See
+    the module docstring for the bound."""
+    f = list(_FACTORS[family](order, n, a))
+    row = list(map(mul, f, reversed(f)))
+    row[1::2] = map(neg, row[1::2])
+    return tuple(row)
 
 
 def plain_kernel() -> Kernel:

@@ -113,7 +113,8 @@ class KernelBump:
     Suites build their built-in kernels through a factory that applies the
     bump on a family/order match, so a single bump threads through every
     suite that evaluates that kernel. Custom kernels are outside the
-    fault-injection surface.
+    fault-injection surface. The point (n, k, a) must lie in a row: n >= 0,
+    0 <= k <= n and a >= 0, or no sweep could ever read the bumped value.
     """
 
     family: KernelFamily
@@ -127,6 +128,9 @@ class KernelBump:
         Kernel(self.family, order=self.order)  # the family's order rule
         if self.delta == 0:
             raise ValueError("bump delta must be non-zero")
+        n, k, a = self.point
+        if n < 0 or a < 0 or not 0 <= k <= n:
+            raise ValueError(f"bump point out of domain: n={n}, k={k}, a={a}")
 
 
 @dataclass
@@ -182,16 +186,14 @@ class _SuiteCtx:
             kernel = with_bump(kernel, b.point, b.delta)
         return kernel
 
+    def violate(self, params: dict, expected: str, actual: str) -> None:
+        """Record one violation: the case's parameters and both sides as text."""
+        self.violations.append({"parameters": params, "expected": expected, "actual": actual})
+
     def equal(self, params: dict, expected: int, actual: int) -> None:
         self.cases += 1
         if expected != actual:
-            self.violations.append(
-                {
-                    "parameters": params,
-                    "expected": decimal(expected),
-                    "actual": decimal(actual),
-                }
-            )
+            self.violate(params, decimal(expected), decimal(actual))
 
     def equal_all(
         self,
@@ -210,36 +212,22 @@ class _SuiteCtx:
             return
         for i, (want, got) in enumerate(zip(expected, actual, strict=True)):
             if want != got:
-                self.violations.append(
-                    {
-                        "parameters": params_at(i),
-                        "expected": decimal(want),
-                        "actual": decimal(got),
-                    }
-                )
+                self.violate(params_at(i), decimal(want), decimal(got))
 
     def divides(self, params: dict, divisor: int, value: int) -> None:
         self.cases += 1
         rem = value % divisor
         if rem:
-            self.violations.append(
-                {
-                    "parameters": {
-                        **params,
-                        "divisor": decimal(divisor),
-                        "value": decimal(value),
-                    },
-                    "expected": "remainder 0",
-                    "actual": f"remainder {decimal(rem)}",
-                }
+            self.violate(
+                {**params, "divisor": decimal(divisor), "value": decimal(value)},
+                "remainder 0",
+                f"remainder {decimal(rem)}",
             )
 
     def assert_true(self, params: dict, ok: bool, expected: str, actual: str) -> None:
         self.cases += 1
         if not ok:
-            self.violations.append(
-                {"parameters": params, "expected": expected, "actual": actual}
-            )
+            self.violate(params, expected, actual)
 
 
 # ---------------------------------------------------------------- suite runners
@@ -552,9 +540,9 @@ class SuiteSpec:
     name: str
     claim: str
     defaults: dict[str, int]
-    minimums: dict[str, int]
     runner: Callable[[_SuiteCtx], None]
     estimator: Callable[[dict[str, int]], float]
+    minimums: dict[str, int] = field(default_factory=dict)  # over _MIN_DEFAULTS
 
 
 def _est_weighted(p: dict[str, int]) -> float:
@@ -609,23 +597,10 @@ def _est_paths(p: dict[str, int]) -> float:
 _MIN_DEFAULTS = {"n_max": 0, "m_max": 1, "r_max": 1, "a_max": 0}
 
 
-def _spec(
-    name: str,
-    claim: str,
-    defaults: dict[str, int],
-    runner: Callable[[_SuiteCtx], None],
-    estimator: Callable[[dict[str, int]], float],
-    minimums: dict[str, int] | None = None,
-) -> SuiteSpec:
-    mins = {k: _MIN_DEFAULTS[k] for k in defaults}
-    mins.update(minimums or {})
-    return SuiteSpec(name, claim, defaults, mins, runner, estimator)
-
-
 _REGISTRY: dict[str, SuiteSpec] = {
     s.name: s
     for s in (
-        _spec(
+        SuiteSpec(
             "theorem1",
             "half the super Catalan number S(n,r) divides the alternating "
             "Gessel convolution at every binomial weight",
@@ -633,7 +608,7 @@ _REGISTRY: dict[str, SuiteSpec] = {
             _sum_divisible(KernelFamily.GESSEL, lambda n, r: half_super_catalan(n, r)),
             _est_weighted,
         ),
-        _spec(
+        SuiteSpec(
             "psi-div",
             "the super Catalan number S(n,r) divides the alternating super "
             "Catalan convolution at every binomial weight",
@@ -641,7 +616,7 @@ _REGISTRY: dict[str, SuiteSpec] = {
             _sum_divisible(KernelFamily.SUPERCAT, lambda n, r: super_catalan(n, r)),
             _est_weighted,
         ),
-        _spec(
+        SuiteSpec(
             "phi-m1",
             "at weight 1 and r = 1 the Gessel convolution equals "
             "catalan(n) * binomial(2n, n)",
@@ -649,14 +624,14 @@ _REGISTRY: dict[str, SuiteSpec] = {
             _run_phi_m1,
             _est_weighted,
         ),
-        _spec(
+        SuiteSpec(
             "psi-m1",
             "at weight 1 the super Catalan convolution equals S(n,r) * S(n+r,n)",
             {"n_max": 10, "r_max": 5},
             _run_psi_m1,
             _est_weighted,
         ),
-        _spec(
+        SuiteSpec(
             "calkin",
             "binomial(2n,n) divides the alternating m-th power sum of "
             "binomial(2n,k)",
@@ -664,7 +639,7 @@ _REGISTRY: dict[str, SuiteSpec] = {
             _sum_divisible(KernelFamily.PLAIN, lambda n: central_binomial(n)),
             _est_weighted,
         ),
-        _spec(
+        SuiteSpec(
             "s2-div",
             "lcm(binomial(a+n,a), binomial(2n,n)) divides the alternating "
             "weighted sum over the rising kernel",
@@ -674,7 +649,7 @@ _REGISTRY: dict[str, SuiteSpec] = {
             ),
             _est_weighted,
         ),
-        _spec(
+        SuiteSpec(
             "s3-div",
             "binomial(2n,n) divides the alternating weighted sum over the "
             "central-binomial kernel",
@@ -682,7 +657,7 @@ _REGISTRY: dict[str, SuiteSpec] = {
             _sum_divisible(KernelFamily.CENTRAL, lambda n: central_binomial(n)),
             _est_weighted,
         ),
-        _spec(
+        SuiteSpec(
             "closed-forms",
             "every closed-form family equals its M-sum evaluated directly, "
             "including one offset past the vanishing boundary",
@@ -690,7 +665,7 @@ _REGISTRY: dict[str, SuiteSpec] = {
             _run_closed_forms,
             _est_closed_forms,
         ),
-        _spec(
+        SuiteSpec(
             "eq7",
             "the weight-m direct sum equals the offset-0 M-sum at level m-1 "
             "for every built-in kernel",
@@ -698,7 +673,7 @@ _REGISTRY: dict[str, SuiteSpec] = {
             _run_eq7,
             _est_eq7,
         ),
-        _spec(
+        SuiteSpec(
             "eq8",
             "the level-raise recurrence reproduces the directly evaluated "
             "M-sum one level up, for built-in and random kernels",
@@ -706,7 +681,7 @@ _REGISTRY: dict[str, SuiteSpec] = {
             _run_eq8,
             _est_eq8,
         ),
-        _spec(
+        SuiteSpec(
             "thm2",
             "transplanting a binomial pair out of the kernel reproduces the "
             "offset M-sums, for random kernels and for the Gessel instance",
@@ -714,7 +689,7 @@ _REGISTRY: dict[str, SuiteSpec] = {
             _run_thm2,
             _est_thm2,
         ),
-        _spec(
+        SuiteSpec(
             "eq2-eq4",
             "the Gessel, super Catalan, and half-super-Catalan kernels agree "
             "pointwise and in aggregate under their factorizations",
@@ -722,7 +697,7 @@ _REGISTRY: dict[str, SuiteSpec] = {
             _run_eq2_eq4,
             _est_eq2_eq4,
         ),
-        _spec(
+        SuiteSpec(
             "stanley",
             "sum_k binomial(a,m-k) binomial(b,n-k) binomial(a+b+k,k) equals "
             "binomial(a+n,m) binomial(b+m,n) over the full box",
@@ -730,7 +705,7 @@ _REGISTRY: dict[str, SuiteSpec] = {
             _run_stanley,
             lambda p: float(p["n_max"] + 1) ** 5,
         ),
-        _spec(
+        SuiteSpec(
             "eq14",
             "binomial(a,b) binomial(b,c) equals binomial(a,c) "
             "binomial(a-c,b-c) for all c <= b <= a",
@@ -738,7 +713,7 @@ _REGISTRY: dict[str, SuiteSpec] = {
             _run_eq14,
             lambda p: float(p["a_max"] + 1) ** 3,
         ),
-        _spec(
+        SuiteSpec(
             "kr",
             "K_r = (r/2) binomial(2r,r) makes K*binomial(2n,n)/(n+r) integral "
             "for every n in the window, and every smaller K fails somewhere "
@@ -747,7 +722,7 @@ _REGISTRY: dict[str, SuiteSpec] = {
             _run_kr,
             _est_kr,
         ),
-        _spec(
+        SuiteSpec(
             "remark1",
             "the weight-1 Gessel convolution at n=3, r=2 is 1170: divisible "
             "by 6 but by neither 12 nor 20",
@@ -755,7 +730,7 @@ _REGISTRY: dict[str, SuiteSpec] = {
             _run_remark1,
             lambda p: 50.0,
         ),
-        _spec(
+        SuiteSpec(
             "paths",
             "both forbidden-diagonal path counts equal the Gessel number, and "
             "explicit enumeration matches the counting DP on small boards",
@@ -778,7 +753,7 @@ def _resolve_params(spec: SuiteSpec, sweep: SweepRange) -> tuple[dict[str, int],
     for pname, default in spec.defaults.items():
         requested = getattr(sweep, pname)
         value = default if requested is None else requested
-        minimum = spec.minimums[pname]
+        minimum = spec.minimums.get(pname, _MIN_DEFAULTS[pname])
         if value < minimum:
             notes.append(f"{pname} raised to {minimum} (suite minimum)")
             value = minimum
@@ -791,19 +766,18 @@ def _resolve_budget(budget_ms: float | None) -> float:
     default. A non-finite budget is refused like a non-number: no estimate
     compares greater than NaN or infinity, so either would switch the guard
     off."""
-    if budget_ms is not None:
-        budget = float(budget_ms)
-        if not math.isfinite(budget):
-            raise ValueError(f"budget_ms must be finite, not NaN or infinite, got {budget}")
-        return budget
-    raw = os.environ.get(BUDGET_ENV_VAR)
+    raw = budget_ms if budget_ms is not None else os.environ.get(BUDGET_ENV_VAR)
     if raw is None:
         return DEFAULT_BUDGET_MS
     try:
         budget = float(raw)
     except ValueError:
+        if budget_ms is not None:
+            raise
         budget = math.nan
     if not math.isfinite(budget):
+        if budget_ms is not None:
+            raise ValueError(f"budget_ms must be finite, not NaN or infinite, got {budget}")
         raise ValueError(f"{BUDGET_ENV_VAR} must be a finite number, got {raw!r}")
     return budget
 
@@ -873,18 +847,14 @@ def run_all(
         try:
             report = run_suite(name, sweep, bump=bump, budget_ms=budget)
         except Exception as exc:
+            ctx = _SuiteCtx({}, DEFAULT_SEED, None)
+            ctx.violate({}, "suite completes", f"{type(exc).__name__}: {exc}")
             report = VerificationReport(
                 suite=name,
                 claim=spec.claim,
                 range={},
                 cases_checked=0,
-                violations=[
-                    {
-                        "parameters": {},
-                        "expected": "suite completes",
-                        "actual": f"{type(exc).__name__}: {exc}",
-                    }
-                ],
+                violations=ctx.violations,
                 elapsed_ms=0.0,
                 notes=[f"suite aborted: {type(exc).__name__}"],
             )

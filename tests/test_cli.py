@@ -8,6 +8,7 @@ usage problems (including unknown names and over-budget ranges).
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -139,6 +140,28 @@ def test_verify_out_writes_file_and_keeps_stdout_clean(capsys, tmp_path):
     assert str(target) in err
     payload = json.loads(target.read_text())
     assert payload["passed"] is True
+
+
+def test_verify_out_to_a_missing_directory_is_a_usage_error(capsys, tmp_path):
+    target = tmp_path / "missing" / "r.json"
+    code, out, err = run(capsys, "verify", "remark1", "--out", str(target))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert str(target) in err
+    assert not target.exists()
+
+
+def test_verify_broken_stdout_is_not_a_usage_error(monkeypatch):
+    # only the --out write is a usage problem; a closed stdout pipe still
+    # raises instead of becoming exit 2
+    class BrokenPipe(io.StringIO):
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+    monkeypatch.setattr(sys, "stdout", BrokenPipe())
+    with pytest.raises(BrokenPipeError):
+        main(["verify", "remark1"])
 
 
 def test_verify_exit_codes(capsys, monkeypatch):

@@ -302,6 +302,19 @@ def test_custom_rows_bypass_the_row_cache():
     assert kernels._builtin_row.cache_info() == before
 
 
+def test_bumped_and_plain_kernels_share_one_cached_row():
+    # the bump is applied as the row is served, so a bumped kernel and its
+    # unbumped twin build their common row once
+    kernels._builtin_row.cache_clear()
+    base = gessel_kernel(3)
+    bumped = with_bump(base, (9, 2, 2), -7)
+    plain = base.row(9, 2)
+    row = bumped.row(9, 2)
+    assert kernels._builtin_row.cache_info().misses == 1
+    assert [k for k in range(10) if row[k] != plain[k]] == [2]
+    assert row[2] == plain[2] - 7
+
+
 def _replayed_draw(seed, n_max, a_max):
     """The seeded draw spelled out point by point, (n, k, a) ascending: the
     values by point, and the generator after the last draw."""

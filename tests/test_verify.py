@@ -242,6 +242,10 @@ def test_kernel_bump_validation():
         KernelBump(KernelFamily.PLAIN, 2, (0, 0, 0), 1)
     with pytest.raises(ValueError):
         KernelBump(KernelFamily.PLAIN, None, (0, 0, 0), 0)
+    # a point no row holds would leave every suite green
+    for point in ((3, 5, 0), (-1, 0, 0), (4, -1, 0), (4, 2, -3)):
+        with pytest.raises(ValueError):
+            KernelBump(KernelFamily.GESSEL, 2, point)
 
 
 # ---------------------------------------------------------------- independence
