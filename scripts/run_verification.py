@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
 """Run every verification suite and print one verdict line per suite.
 
-Exit status is 0 only when all suites pass.  With --json the full
-machine-readable report is also written to disk, so a CI job can keep the
-artifact while humans read the console summary.
+Exit status is 0 when all suites pass, 1 when any fails, and 2 on a usage
+error (a malformed CONVOLVIUM_BUDGET_MS, or a --json path that cannot be
+written).  With --json the full machine-readable report is also written to
+disk, so a CI job can keep the artifact while humans read the console summary.
 """
 
 from __future__ import annotations
@@ -35,7 +36,11 @@ def main(argv: list[str] | None = None) -> int:
         n_max=args.n_max, m_max=args.m_max, r_max=args.r_max, a_max=args.a_max,
         seed=args.seed,
     )
-    reports = run_all(sweep)
+    try:
+        reports = run_all(sweep)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     width = max(len(rep.suite) for rep in reports)
     for rep in reports:
         status = "PASS" if rep.passed else "FAIL"
@@ -48,7 +53,12 @@ def main(argv: list[str] | None = None) -> int:
     failed = [rep.suite for rep in reports if not rep.passed]
     print(f"\n{len(reports)} suites, {total_cases} cases checked")
     if args.json is not None:
-        args.json.write_text(reports_to_json(reports, include_timings=args.timings))
+        try:
+            args.json.write_text(reports_to_json(reports, include_timings=args.timings))
+        except OSError as exc:
+            print(f"error: cannot write report to {args.json}: {exc.strerror or exc}",
+                  file=sys.stderr)
+            return 2
         print(f"wrote {args.json}")
     if failed:
         print(f"FAILED: {', '.join(failed)}", file=sys.stderr)

@@ -48,14 +48,12 @@ from .kernels import (
 from .paths import (
     ENUMERATION_LIMIT,
     BoardTooLarge,
-    InterpretationCheck,
     PathSpec,
     TouchSet,
     count_paths,
     enumerate_paths,
     gessel_path_spec,
     prefix_path_spec,
-    verify_interpretations,
 )
 from .sums import (
     direct_sum,
@@ -71,7 +69,6 @@ from .sums import (
 )
 from .verify import (
     FUZZ_KERNEL_COUNT,
-    KernelBump,
     RangeTooLarge,
     SweepRange,
     UnknownSuite,
@@ -91,9 +88,7 @@ __all__ = [
     "ENUMERATION_LIMIT",
     "FAMILY_PARAMS",
     "FUZZ_KERNEL_COUNT",
-    "InterpretationCheck",
     "Kernel",
-    "KernelBump",
     "KernelDomainError",
     "KernelFamily",
     "NonDivisible",
@@ -144,6 +139,5 @@ __all__ = [
     "supercat_kernel",
     "theorem2_transform",
     "theorem2_transform_vector",
-    "verify_interpretations",
     "with_bump",
 ]

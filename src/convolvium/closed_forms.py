@@ -7,12 +7,17 @@ the plain, rising-factor, and central-binomial alternating sums, PSI the
 supercat kernel, PHI the gessel kernel; T0/T1 is the weight level t. All
 functions take the half index n and correspond to M-sums at composite index
 2n; offsets j > n return 0 to match the vanishing M-sum.
+
+FAMILIES maps each family to its closed form and to the kernel family and
+level t of that M-sum; FAMILY_PARAMS is read off the closed forms' signatures.
 """
 
 from __future__ import annotations
 
+import inspect
 import math
 from enum import Enum
+from typing import Callable
 
 from .exact import (
     binomial,
@@ -34,33 +39,6 @@ class ClosedFormFamily(str, Enum):
     PSI_T1 = "psi-t1"
     PHI_J_T0 = "phi-j-t0"
     PHI_00 = "phi-00"
-
-
-# parameters each family's closed form takes, the half index n first
-FAMILY_PARAMS: dict[ClosedFormFamily, tuple[str, ...]] = {
-    ClosedFormFamily.S1_T0: ("n", "j"),
-    ClosedFormFamily.S1_T1: ("n", "j"),
-    ClosedFormFamily.S2_T0: ("n", "j", "a"),
-    ClosedFormFamily.S2_T1: ("n", "j", "a"),
-    ClosedFormFamily.S3_T0: ("n", "j"),
-    ClosedFormFamily.PSI_T0: ("n", "j", "r"),
-    ClosedFormFamily.PSI_T1: ("n", "j", "r"),
-    ClosedFormFamily.PHI_J_T0: ("n", "j", "r"),
-    ClosedFormFamily.PHI_00: ("n", "r"),
-}
-
-# the M-sum each family equals: (kernel family, weight level t)
-FAMILY_MSUM: dict[ClosedFormFamily, tuple[KernelFamily, int]] = {
-    ClosedFormFamily.S1_T0: (KernelFamily.PLAIN, 0),
-    ClosedFormFamily.S1_T1: (KernelFamily.PLAIN, 1),
-    ClosedFormFamily.S2_T0: (KernelFamily.RISING, 0),
-    ClosedFormFamily.S2_T1: (KernelFamily.RISING, 1),
-    ClosedFormFamily.S3_T0: (KernelFamily.CENTRAL, 0),
-    ClosedFormFamily.PSI_T0: (KernelFamily.SUPERCAT, 0),
-    ClosedFormFamily.PSI_T1: (KernelFamily.SUPERCAT, 1),
-    ClosedFormFamily.PHI_J_T0: (KernelFamily.GESSEL, 0),
-    ClosedFormFamily.PHI_00: (KernelFamily.GESSEL, 0),
-}
 
 
 def closed_s1_t0(n: int, j: int) -> int:
@@ -208,17 +186,23 @@ def closed_phi_origin(n: int, r: int) -> int:
     return _sign(r - 1) * half_super_catalan(n, r) * total
 
 
-# family -> its closed form, called with exactly the keywords in FAMILY_PARAMS
-_DISPATCH = {
-    ClosedFormFamily.S1_T0: closed_s1_t0,
-    ClosedFormFamily.S1_T1: closed_s1_t1,
-    ClosedFormFamily.S2_T0: closed_s2_t0,
-    ClosedFormFamily.S2_T1: closed_s2_t1,
-    ClosedFormFamily.S3_T0: closed_s3_t0,
-    ClosedFormFamily.PSI_T0: closed_psi_t0,
-    ClosedFormFamily.PSI_T1: closed_psi_t1,
-    ClosedFormFamily.PHI_J_T0: closed_phi_t0,
-    ClosedFormFamily.PHI_00: closed_phi_origin,
+# family -> (its closed form, the kernel family and weight level t of the
+# M-sum it equals)
+FAMILIES: dict[ClosedFormFamily, tuple[Callable[..., int], KernelFamily, int]] = {
+    ClosedFormFamily.S1_T0: (closed_s1_t0, KernelFamily.PLAIN, 0),
+    ClosedFormFamily.S1_T1: (closed_s1_t1, KernelFamily.PLAIN, 1),
+    ClosedFormFamily.S2_T0: (closed_s2_t0, KernelFamily.RISING, 0),
+    ClosedFormFamily.S2_T1: (closed_s2_t1, KernelFamily.RISING, 1),
+    ClosedFormFamily.S3_T0: (closed_s3_t0, KernelFamily.CENTRAL, 0),
+    ClosedFormFamily.PSI_T0: (closed_psi_t0, KernelFamily.SUPERCAT, 0),
+    ClosedFormFamily.PSI_T1: (closed_psi_t1, KernelFamily.SUPERCAT, 1),
+    ClosedFormFamily.PHI_J_T0: (closed_phi_t0, KernelFamily.GESSEL, 0),
+    ClosedFormFamily.PHI_00: (closed_phi_origin, KernelFamily.GESSEL, 0),
+}
+
+# parameters each family's closed form takes, the half index n first
+FAMILY_PARAMS: dict[ClosedFormFamily, tuple[str, ...]] = {
+    family: tuple(inspect.signature(fn).parameters) for family, (fn, _, _) in FAMILIES.items()
 }
 
 
@@ -226,7 +210,7 @@ def closed_form(family: ClosedFormFamily, *, n: int, j: int = 0, r: int = 1, a: 
     """Evaluate one closed-form family (n is the half index)."""
     family = ClosedFormFamily(family)
     given = {"n": n, "j": j, "r": r, "a": a}
-    return _DISPATCH[family](**{name: given[name] for name in FAMILY_PARAMS[family]})
+    return FAMILIES[family][0](**{name: given[name] for name in FAMILY_PARAMS[family]})
 
 
 def msum_counterpart(
@@ -240,12 +224,12 @@ def msum_counterpart(
 ) -> int:
     """The M-sum each family's closed form must equal, evaluated directly.
 
-    The kernel and level come from FAMILY_MSUM. The supercat-type kernels
+    The kernel and level come from FAMILIES. The supercat-type kernels
     are summed at a = r - 1; a family that takes no `a` (or no `j`) is summed
     at 0. `kernel` overrides the family's standard kernel (the verifier uses
     this to thread fault-injected kernels through)."""
     family = ClosedFormFamily(family)
-    kfam, t = FAMILY_MSUM[family]
+    _, kfam, t = FAMILIES[family]
     takes = FAMILY_PARAMS[family]
     if kfam in PARAMETERIZED_FAMILIES:
         kern = kernel or Kernel(kfam, order=r)

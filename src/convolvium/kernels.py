@@ -32,9 +32,10 @@ each row once gains nothing and keeps at most 16 rows (about 0.74 MB after
 one pass of the bigint-sweep benchmark).
 
 The `bump` field is a fault-injection hook for the verifier's sensitivity
-tests: it adds a delta to the kernel's value at exactly one point, applied
-when `Kernel.row` serves the row holding that point. A bumped kernel and its
-unbumped twin share one cached row, and no cache key carries the bump.
+tests: `with_bump` adds a non-zero delta to the kernel's value at exactly
+one point of a row (any other bump is refused when the kernel is built),
+applied when `Kernel.row` serves the row holding that point. A bumped kernel
+and its unbumped twin share one cached row, and no cache key carries the bump.
 """
 
 from __future__ import annotations
@@ -89,6 +90,12 @@ class Kernel:
             raise ValueError(f"{self.family.value} kernel takes no order")
         if (self.rows is None) == (self.family is KernelFamily.CUSTOM):
             raise ValueError("a kernel stores rows exactly when it is custom")
+        if self.bump is not None:
+            (n, k, a), delta = self.bump
+            if delta == 0:
+                raise ValueError("bump delta must be non-zero")
+            if n < 0 or a < 0 or not 0 <= k <= n:
+                raise ValueError(f"bump point out of domain: n={n}, k={k}, a={a}")
 
     @property
     def label(self) -> str:
@@ -181,7 +188,7 @@ def _bumped(
     lies in it."""
     if bump is not None:
         (bn, bk, ba), delta = bump
-        if bn == n and ba == a and 0 <= bk <= n:
+        if bn == n and ba == a:
             values = [*values[:bk], values[bk] + delta, *values[bk + 1 :]]
     return tuple(values)
 
@@ -236,7 +243,8 @@ def custom_kernel(table: Mapping[Point, int]) -> Kernel:
 
 
 def with_bump(kernel: Kernel, point: Point, delta: int = 1) -> Kernel:
-    """Copy of kernel whose value at `point` is shifted by `delta` (test hook)."""
+    """Copy of kernel whose value at `point` is shifted by `delta` (test hook);
+    a zero delta or a point no row holds raises ValueError."""
     return replace(kernel, bump=(point, delta))
 
 

@@ -15,16 +15,15 @@ prefix at its first forbidden vertex, so its work follows the admissible
 prefixes rather than all binomial(x+y, x) step strings.
 
 Both interpretations with target (n+r, n+r-1) count the Gessel number
-P(n, r): the tail set with bound r for n >= 0, the band set with bound n for
-n >= 1. verify_interpretations computes both plus the arithmetic formula.
+P(n, r): the tail set with bound r for n >= 0 (`gessel_path_spec`), the band
+set with bound n for n >= 1 (`prefix_path_spec`). The verifier's paths suite
+counts both and compares them with the arithmetic `exact.gessel`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-
-from .exact import gessel
 
 ENUMERATION_LIMIT = 22  # max x+y a board may have for explicit enumeration
 
@@ -122,27 +121,3 @@ def enumerate_paths(spec: PathSpec) -> list[str]:
 
     walk(0, 0, "")
     return found
-
-
-@dataclass(frozen=True)
-class InterpretationCheck:
-    """Both path counts for (n, r) next to the arithmetic Gessel number."""
-
-    n: int
-    r: int
-    tail_count: int
-    band_count: int
-    formula_value: int
-
-    @property
-    def agree(self) -> bool:
-        return self.tail_count == self.band_count == self.formula_value
-
-
-def verify_interpretations(n: int, r: int) -> InterpretationCheck:
-    """Count paths under both forbidden sets and compare with gessel(n, r)."""
-    if n < 1 or r < 1:
-        raise ValueError(f"need n >= 1 and r >= 1, got n={n}, r={r}")
-    tail = count_paths(gessel_path_spec(n, r))
-    band = count_paths(prefix_path_spec(n, r))
-    return InterpretationCheck(n, r, tail, band, gessel(n, r))

@@ -6,11 +6,14 @@ a falsified claim: it records each violation (parameters, expected, actual)
 and the caller decides what a non-empty list means. All arithmetic is exact;
 a violation is a counterexample, not a tolerance artifact.
 
-Suites accept an optional fault-injection `bump` that perturbs one built-in
-kernel value at one point. Sweeps that evaluate that kernel at that point
-must then report at least one violation; this is how the suites themselves
-are tested for sensitivity. Randomized suites (eq8, thm2) derive their
-kernels from a seeded generator, so reports are reproducible byte for byte.
+Suites accept an optional fault-injection `bump`, a built-in kernel from
+`kernels.with_bump` that each suite uses wherever it builds that family and
+order; this is how the suites themselves are tested for sensitivity. Not
+every bump is caught: eq7 and eq8 hold for any kernel and the other suites
+read kernel rows only at even n, so a bump at odd n, or on a kernel the box
+never builds, leaves every suite green. Randomized suites (eq8, thm2) derive
+their kernels from a seeded generator, so reports are reproducible byte for
+byte.
 
 Runtime protection: before running, each suite estimates its work from the
 resolved range and refuses (RangeTooLarge) if the estimate exceeds the
@@ -48,19 +51,16 @@ from .kernels import (
     PARAMETERIZED_FAMILIES,
     Kernel,
     KernelFamily,
-    Point,
     _centrals,
     binomial_pair_kernel,
     binomial_pair_row,
     random_kernel,
-    with_bump,
 )
 from .paths import (
     count_paths,
     enumerate_paths,
     gessel_path_spec,
     prefix_path_spec,
-    verify_interpretations,
 )
 from .sums import (
     direct_sum,
@@ -106,33 +106,6 @@ class SweepRange:
     seed: int = DEFAULT_SEED
 
 
-@dataclass(frozen=True)
-class KernelBump:
-    """Fault injection: add delta to one built-in kernel's value at one point.
-
-    Suites build their built-in kernels through a factory that applies the
-    bump on a family/order match, so a single bump threads through every
-    suite that evaluates that kernel. Custom kernels are outside the
-    fault-injection surface. The point (n, k, a) must lie in a row: n >= 0,
-    0 <= k <= n and a >= 0, or no sweep could ever read the bumped value.
-    """
-
-    family: KernelFamily
-    order: int | None
-    point: Point
-    delta: int = 1
-
-    def __post_init__(self) -> None:
-        if self.family is KernelFamily.CUSTOM:
-            raise ValueError("custom kernels cannot be bumped")
-        Kernel(self.family, order=self.order)  # the family's order rule
-        if self.delta == 0:
-            raise ValueError("bump delta must be non-zero")
-        n, k, a = self.point
-        if n < 0 or a < 0 or not 0 <= k <= n:
-            raise ValueError(f"bump point out of domain: n={n}, k={k}, a={a}")
-
-
 @dataclass
 class VerificationReport:
     suite: str
@@ -164,7 +137,7 @@ class VerificationReport:
 class _SuiteCtx:
     """Mutable state threaded through one suite run."""
 
-    def __init__(self, params: dict[str, int], seed: int, bump: KernelBump | None):
+    def __init__(self, params: dict[str, int], seed: int, bump: Kernel | None):
         self.params = params
         self.seed = seed
         self.bump = bump
@@ -179,12 +152,11 @@ class _SuiteCtx:
         return random.Random(self.seed)
 
     def mk(self, family: KernelFamily, order: int | None = None) -> Kernel:
-        """Built-in kernel, with the fault-injection bump applied on match."""
-        kernel = Kernel(family, order=order)
+        """Built-in kernel: the bumped kernel when its family and order match."""
         b = self.bump
         if b is not None and b.family is family and b.order == order:
-            kernel = with_bump(kernel, b.point, b.delta)
-        return kernel
+            return b
+        return Kernel(family, order=order)
 
     def violate(self, params: dict, expected: str, actual: str) -> None:
         """Record one violation: the case's parameters and both sides as text."""
@@ -292,7 +264,7 @@ def _run_closed_forms(ctx: _SuiteCtx) -> None:
     p = ctx.params
     for family in cf.ClosedFormFamily:
         takes = cf.FAMILY_PARAMS[family]
-        kfam, _ = cf.FAMILY_MSUM[family]
+        _, kfam, _ = cf.FAMILIES[family]
         r_values = range(1, p["r_max"] + 1) if "r" in takes else (1,)
         a_values = range(p["a_max"] + 1) if "a" in takes else (0,)
         kerns = {r: ctx.mk(kfam, r if kfam in PARAMETERIZED_FAMILIES else None) for r in r_values}
@@ -520,14 +492,15 @@ def _run_paths(ctx: _SuiteCtx) -> None:
     p = ctx.params
     for n in range(1, p["n_max"] + 1):
         for r in range(1, p["r_max"] + 1):
-            chk = verify_interpretations(n, r)
-            ctx.equal({"n": n, "r": r, "check": "tail-count"}, chk.formula_value, chk.tail_count)
-            ctx.equal({"n": n, "r": r, "check": "band-count"}, chk.formula_value, chk.band_count)
+            specs = {"tail": gessel_path_spec(n, r), "band": prefix_path_spec(n, r)}
+            counts = {tag: count_paths(spec) for tag, spec in specs.items()}
+            for tag, count in counts.items():
+                ctx.equal({"n": n, "r": r, "check": f"{tag}-count"}, gessel(n, r), count)
             if 2 * (n + r) - 1 <= _ENUM_CROSSCHECK_STEPS:
-                for tag, spec in (("tail", gessel_path_spec(n, r)), ("band", prefix_path_spec(n, r))):
+                for tag, spec in specs.items():
                     ctx.equal(
                         {"n": n, "r": r, "check": f"enumeration-{tag}"},
-                        count_paths(spec),
+                        counts[tag],
                         len(enumerate_paths(spec)),
                     )
 
@@ -782,23 +755,34 @@ def _resolve_budget(budget_ms: float | None) -> float:
     return budget
 
 
+def _check_bump(bump: Kernel | None) -> None:
+    """Refuse a custom or unbumped `bump`: no suite would read a fault in it,
+    so the run would be vacuously green."""
+    if bump is not None and (bump.family is KernelFamily.CUSTOM or bump.bump is None):
+        raise ValueError(
+            f"bump must be a built-in kernel from with_bump, got {bump.label} with bump={bump.bump}"
+        )
+
+
 def run_suite(
     name: str,
     sweep: SweepRange | None = None,
     *,
-    bump: KernelBump | None = None,
+    bump: Kernel | None = None,
     budget_ms: float | None = None,
 ) -> VerificationReport:
     """Run one suite and return its report.
 
-    Raises UnknownSuite for an unregistered name and RangeTooLarge when the
-    resolved range's estimated runtime exceeds the budget.
+    Raises UnknownSuite for an unregistered name, ValueError for a custom or
+    unbumped `bump`, and RangeTooLarge when the resolved range's estimated
+    runtime exceeds the budget.
     """
     spec = _REGISTRY.get(name)
     if spec is None:
         raise UnknownSuite(
             f"unknown suite {name!r}; known suites: {', '.join(_REGISTRY)}"
         )
+    _check_bump(bump)
     sweep = sweep if sweep is not None else SweepRange()
     params, notes = _resolve_params(spec, sweep)
     budget = _resolve_budget(budget_ms)
@@ -830,17 +814,18 @@ def run_suite(
 def run_all(
     sweep: SweepRange | None = None,
     *,
-    bump: KernelBump | None = None,
+    bump: Kernel | None = None,
     budget_ms: float | None = None,
 ) -> list[VerificationReport]:
     """Run every registered suite, in registry order.
 
-    The budget is resolved once, before any suite runs, so a malformed
-    CONVOLVIUM_BUDGET_MS raises ValueError (a usage error) instead of
-    becoming one failing report per suite. A suite that raises (over budget,
-    or a genuine bug) is converted into a failing report rather than aborting
-    the batch.
+    The bump and the budget are checked once, before any suite runs, so a
+    custom or unbumped `bump` or a malformed CONVOLVIUM_BUDGET_MS raises
+    ValueError (a usage error) instead of becoming one failing report per
+    suite. A suite that raises (over budget, or a genuine bug) is converted
+    into a failing report rather than aborting the batch.
     """
+    _check_bump(bump)
     budget = _resolve_budget(budget_ms)
     reports = []
     for name, spec in _REGISTRY.items():

@@ -20,7 +20,7 @@ import pytest
 import convolvium
 from convolvium import closed_forms
 from convolvium.closed_forms import (
-    FAMILY_MSUM,
+    FAMILIES,
     FAMILY_PARAMS,
     ClosedFormFamily,
     closed_form,
@@ -46,15 +46,14 @@ def test_every_family_has_a_parameter_signature():
 
 
 def test_each_closed_form_takes_exactly_its_family_params():
-    assert set(closed_forms._DISPATCH) == set(ClosedFormFamily)
-    for family, fn in closed_forms._DISPATCH.items():
+    assert set(FAMILIES) == set(ClosedFormFamily)
+    for family, (fn, _, _) in FAMILIES.items():
         assert tuple(inspect.signature(fn).parameters) == FAMILY_PARAMS[family]
 
 
 def test_every_family_has_one_msum_counterpart():
     # a family takes r exactly when its kernel is parameterised by an order
-    assert set(FAMILY_MSUM) == set(ClosedFormFamily)
-    for family, (kfam, _) in FAMILY_MSUM.items():
+    for family, (_, kfam, _) in FAMILIES.items():
         assert ("r" in FAMILY_PARAMS[family]) == (kfam in PARAMETERIZED_FAMILIES)
 
 

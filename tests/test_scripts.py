@@ -36,6 +36,25 @@ def test_run_verification_prints_verdicts_and_writes_the_report(capsys, tmp_path
     assert target.read_text() == reports_to_json(run_all(sweep))
 
 
+def test_run_verification_refuses_a_malformed_budget(capsys, monkeypatch):
+    script = _load("run_verification")
+    monkeypatch.setenv("CONVOLVIUM_BUDGET_MS", "abc")
+    assert script.main(["--n-max", "3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: CONVOLVIUM_BUDGET_MS")
+
+
+def test_run_verification_refuses_an_unwritable_json_path(capsys, tmp_path):
+    script = _load("run_verification")
+    target = tmp_path / "missing" / "report.json"
+    trim = ["--n-max", "3", "--m-max", "2", "--r-max", "2", "--a-max", "1"]
+    assert script.main([*trim, "--json", str(target)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: cannot write report to {target}: No such file or directory\n"
+    assert not target.parent.exists()
+
+
 def test_make_tables_writes_what_the_table_command_prints(capsys, tmp_path):
     script = _load("make_tables")
     assert script.main(["--n-max", "4", "--r-max", "2", "--m-max", "2", "--out-dir", str(tmp_path)]) == 0

@@ -275,8 +275,9 @@ def test_bumped_row_shifts_one_entry():
     assert bumped.row(5, 1) == tuple(expected)
     assert bumped.row(5, 0) == base.row(5, 0)  # other a
     assert bumped.row(4, 1) == base.row(4, 1)  # other n
-    # a bump outside the row's k range changes nothing
-    assert with_bump(base, (5, 6, 1), 9).row(5, 1) == base.row(5, 1)
+    # a bump outside the row's k range could change nothing: it is refused
+    with pytest.raises(ValueError):
+        with_bump(base, (5, 6, 1), 9)
 
 
 def test_row_cache_keeps_bumped_and_plain_rows_apart():

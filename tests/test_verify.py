@@ -14,16 +14,16 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 import convolvium
 from convolvium import verify
-from convolvium.kernels import KernelFamily
+from convolvium.kernels import Kernel, KernelFamily, custom_kernel, with_bump
 from convolvium.verify import (
     FUZZ_KERNEL_COUNT,
-    KernelBump,
     RangeTooLarge,
     SweepRange,
     UnknownSuite,
@@ -189,7 +189,7 @@ def test_seed_changes_fuzz_but_not_verdict():
 
 
 def test_gessel_bump_is_caught_and_attributed():
-    bump = KernelBump(KernelFamily.GESSEL, 2, (6, 1, 1), 1)
+    bump = with_bump(Kernel(KernelFamily.GESSEL, order=2), (6, 1, 1), 1)
     reports = run_all(SweepRange(n_max=6, m_max=2, r_max=3, a_max=2), bump=bump)
     by_name = {r.suite: r for r in reports}
     flagged = [name for name, r in by_name.items() if not r.passed]
@@ -203,7 +203,7 @@ def test_gessel_bump_is_caught_and_attributed():
 
 
 def test_bump_violations_carry_decimal_strings():
-    bump = KernelBump(KernelFamily.GESSEL, 2, (6, 1, 1), 1)
+    bump = with_bump(Kernel(KernelFamily.GESSEL, order=2), (6, 1, 1), 1)
     rep = run_suite("remark1", bump=bump)
     assert not rep.passed
     for violation in rep.violations:
@@ -215,12 +215,12 @@ def test_bump_violations_carry_decimal_strings():
 @pytest.mark.parametrize(
     "bump",
     [
-        KernelBump(KernelFamily.PLAIN, None, (4, 2, 0), 1),
-        KernelBump(KernelFamily.CENTRAL, None, (4, 1, 0), 1),
-        KernelBump(KernelFamily.RISING, None, (4, 2, 1), 1),
-        KernelBump(KernelFamily.SUPERCAT, 2, (4, 1, 1), 1),
-        KernelBump(KernelFamily.HALF_SUPERCAT, 2, (4, 2, 1), 1),
-        KernelBump(KernelFamily.GESSEL, 2, (4, 0, 1), 1),
+        with_bump(Kernel(KernelFamily.PLAIN), (4, 2, 0), 1),
+        with_bump(Kernel(KernelFamily.CENTRAL), (4, 1, 0), 1),
+        with_bump(Kernel(KernelFamily.RISING), (4, 2, 1), 1),
+        with_bump(Kernel(KernelFamily.SUPERCAT, order=2), (4, 1, 1), 1),
+        with_bump(Kernel(KernelFamily.HALF_SUPERCAT, order=2), (4, 2, 1), 1),
+        with_bump(Kernel(KernelFamily.GESSEL, order=2), (4, 0, 1), 1),
     ],
 )
 def test_every_builtin_family_bump_is_detected(bump):
@@ -235,17 +235,33 @@ def test_unbumped_run_stays_green_at_the_same_ranges():
 
 def test_kernel_bump_validation():
     with pytest.raises(ValueError):
-        KernelBump(KernelFamily.CUSTOM, None, (0, 0, 0), 1)
+        with_bump(Kernel(KernelFamily.SUPERCAT), (0, 0, 0), 1)
     with pytest.raises(ValueError):
-        KernelBump(KernelFamily.SUPERCAT, None, (0, 0, 0), 1)
-    with pytest.raises(ValueError):
-        KernelBump(KernelFamily.PLAIN, 2, (0, 0, 0), 1)
-    with pytest.raises(ValueError):
-        KernelBump(KernelFamily.PLAIN, None, (0, 0, 0), 0)
-    # a point no row holds would leave every suite green
-    for point in ((3, 5, 0), (-1, 0, 0), (4, -1, 0), (4, 2, -3)):
+        with_bump(Kernel(KernelFamily.PLAIN, order=2), (0, 0, 0), 1)
+    # a zero delta, or a point no row holds, would leave every suite green;
+    # the kernel refuses both however the bump is set
+    base = Kernel(KernelFamily.GESSEL, order=2)
+    bad = [((0, 0, 0), 0)] + [
+        (point, 1) for point in ((3, 5, 0), (-1, 0, 0), (4, -1, 0), (4, 2, -3), (5, 6, 1))
+    ]
+    for point, delta in bad:
         with pytest.raises(ValueError):
-            KernelBump(KernelFamily.GESSEL, 2, point)
+            with_bump(base, point, delta)
+        with pytest.raises(ValueError):
+            replace(base, bump=(point, delta))
+
+
+@pytest.mark.parametrize(
+    "bump",
+    [with_bump(custom_kernel({(0, 0, 0): 1}), (0, 0, 0), 1), Kernel(KernelFamily.GESSEL, order=2)],
+)
+def test_a_custom_or_unbumped_bump_is_refused_before_any_suite_runs(bump):
+    # either would inject no fault a suite reads and leave the run vacuously
+    # green; run_all raises instead of turning it into one report per suite
+    with pytest.raises(ValueError, match="with_bump"):
+        run_suite("remark1", bump=bump)
+    with pytest.raises(ValueError, match="with_bump"):
+        run_all(_TRIM, bump=bump)
 
 
 # ---------------------------------------------------------------- independence
@@ -347,7 +363,7 @@ _GOLDEN_FAILING_RUN_SHA256 = "56a6ef51c92feac53f422dd77a46d7902b70da188203c52aed
 
 def test_failing_run_matches_golden_digest(monkeypatch):
     monkeypatch.delenv("CONVOLVIUM_BUDGET_MS", raising=False)
-    bump = KernelBump(KernelFamily.GESSEL, 2, (6, 1, 1), 1)
+    bump = with_bump(Kernel(KernelFamily.GESSEL, order=2), (6, 1, 1), 1)
     text = reports_to_json(run_all(bump=bump))
     assert json.loads(text)["total_violations"] > 0
     assert hashlib.sha256(text.encode()).hexdigest() == _GOLDEN_FAILING_RUN_SHA256
@@ -361,43 +377,43 @@ def test_failing_run_matches_golden_digest(monkeypatch):
     [
         (
             "theorem1",
-            KernelBump(KernelFamily.GESSEL, 2, (6, 1, 1)),
+            with_bump(Kernel(KernelFamily.GESSEL, order=2), (6, 1, 1)),
             0,
             "0f4aee39d369371e694668d0953cfa4bf6c966db9eadbfef59b4c15cd36f30d1",
         ),
         (
             "psi-div",
-            KernelBump(KernelFamily.SUPERCAT, 1, (4, 2, 0)),
+            with_bump(Kernel(KernelFamily.SUPERCAT, order=1), (4, 2, 0)),
             1,
             "62b2fb17a08882d575c3083527fd5e6e12eb0595c8e6133bab197ff947dc83d6",
         ),
         (
             "psi-m1",
-            KernelBump(KernelFamily.SUPERCAT, 1, (4, 2, 0)),
+            with_bump(Kernel(KernelFamily.SUPERCAT, order=1), (4, 2, 0)),
             1,
             "fd09e564c5572ab5d5a7c9aba3e18bd7f2ea2ec547cfdaf614b2cdaafb1d2be1",
         ),
         (
             "calkin",
-            KernelBump(KernelFamily.PLAIN, None, (2, 1, 0)),
+            with_bump(Kernel(KernelFamily.PLAIN), (2, 1, 0)),
             0,
             "8dd299ef44ff59d9b06db9968c0b36db5825cb17c8eebc1a23d29d5b241aac2b",
         ),
         (
             "s2-div",
-            KernelBump(KernelFamily.RISING, None, (4, 1, 2)),
+            with_bump(Kernel(KernelFamily.RISING), (4, 1, 2)),
             4,
             "15213472abce2e308d3c2d6e9e2602e4288c2f8686a7378421fc30f5ddc00052",
         ),
         (
             "s3-div",
-            KernelBump(KernelFamily.CENTRAL, None, (4, 2, 0)),
+            with_bump(Kernel(KernelFamily.CENTRAL), (4, 2, 0)),
             0,
             "bf766a51712653a62bef329a939f4b63df3113997f82dca6ee3e1fb379c78603",
         ),
         (
             "phi-m1",
-            KernelBump(KernelFamily.GESSEL, 1, (4, 1, 0)),
+            with_bump(Kernel(KernelFamily.GESSEL, order=1), (4, 1, 0)),
             1,
             "e6d59accc79977490a7d307050e5cb655ad40b67fb8b0ec60a04a7596d6d27d2",
         ),
@@ -421,7 +437,7 @@ def test_run_all_rejects_a_malformed_budget(monkeypatch):
 
 
 def test_csv_serialization():
-    bump = KernelBump(KernelFamily.GESSEL, 2, (6, 1, 1), 1)
+    bump = with_bump(Kernel(KernelFamily.GESSEL, order=2), (6, 1, 1), 1)
     failing = run_suite("remark1", bump=bump)
     passing = run_suite("eq14", SweepRange(a_max=4))
     text = reports_to_csv([passing, failing])
