@@ -29,7 +29,12 @@ def parse_args(argv: list[str] | None = None) -> argparse.Namespace:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--r-max", type=int, default=5)
     parser.add_argument("--window", type=int, default=500)
-    return parser.parse_args(argv)
+    args = parser.parse_args(argv)
+    if args.r_max < 1:
+        parser.error("--r-max must be at least 1")
+    if args.window < 0:
+        parser.error("--window must be non-negative")
+    return args
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -14,7 +14,6 @@ All numeric output is exact decimal; there is no floating point anywhere.
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import sys
 from pathlib import Path
@@ -276,6 +275,8 @@ def _cmd_table(args: argparse.Namespace) -> int:
         raise _UsageError("--m must be at least 1")
     if args.r_max is not None and args.r_max < 1:
         raise _UsageError("--r-max must be at least 1")
+    import csv  # imported here so that the other commands never load it
+
     header, rows = _table_rows(args)
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")

@@ -9,12 +9,12 @@ functions take the half index n and correspond to M-sums at composite index
 2n; offsets j > n return 0 to match the vanishing M-sum.
 
 FAMILIES maps each family to its closed form and to the kernel family and
-level t of that M-sum; FAMILY_PARAMS is read off the closed forms' signatures.
+level t of that M-sum; FAMILY_PARAMS is read off the closed forms' code
+objects (their parameter names), without importing `inspect`.
 """
 
 from __future__ import annotations
 
-import inspect
 import math
 from enum import Enum
 from typing import Callable
@@ -200,9 +200,11 @@ FAMILIES: dict[ClosedFormFamily, tuple[Callable[..., int], KernelFamily, int]] =
     ClosedFormFamily.PHI_00: (closed_phi_origin, KernelFamily.GESSEL, 0),
 }
 
-# parameters each family's closed form takes, the half index n first
+# parameters each family's closed form takes, the half index n first; every
+# closed form takes positional parameters only, so they lead co_varnames
 FAMILY_PARAMS: dict[ClosedFormFamily, tuple[str, ...]] = {
-    family: tuple(inspect.signature(fn).parameters) for family, (fn, _, _) in FAMILIES.items()
+    family: fn.__code__.co_varnames[: fn.__code__.co_argcount]
+    for family, (fn, _, _) in FAMILIES.items()
 }
 
 

@@ -41,11 +41,10 @@ and its unbumped twin share one cached row, and no cache key carries the bump.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, replace
 from enum import Enum
 from functools import lru_cache
 from operator import mul, neg
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .exact import binomial, exact_div
 
@@ -75,14 +74,22 @@ def _sign(k: int) -> int:
     return -1 if k & 1 else 1
 
 
-@dataclass(frozen=True)
-class Kernel:
+class _KernelFields(NamedTuple):
     family: KernelFamily
     order: int | None = None
     rows: Mapping[tuple[int, int], tuple[int, ...]] | None = None  # (n, a) -> row
     bump: tuple[Point, int] | None = None
 
-    def __post_init__(self) -> None:
+
+class Kernel(_KernelFields):
+    """An immutable kernel; kernels with equal fields are equal. The
+    constructor validates the fields. `_replace` would skip that check, so a
+    changed copy is built through `Kernel(...)`, as `with_bump` does."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> Kernel:
+        self = super().__new__(cls, *args, **kwargs)
         if self.family in PARAMETERIZED_FAMILIES:
             if self.order is None or self.order < 1:
                 raise ValueError(f"{self.family.value} kernel requires order >= 1")
@@ -96,6 +103,7 @@ class Kernel:
                 raise ValueError("bump delta must be non-zero")
             if n < 0 or a < 0 or not 0 <= k <= n:
                 raise ValueError(f"bump point out of domain: n={n}, k={k}, a={a}")
+        return self
 
     @property
     def label(self) -> str:
@@ -245,7 +253,7 @@ def custom_kernel(table: Mapping[Point, int]) -> Kernel:
 def with_bump(kernel: Kernel, point: Point, delta: int = 1) -> Kernel:
     """Copy of kernel whose value at `point` is shifted by `delta` (test hook);
     a zero delta or a point no row holds raises ValueError."""
-    return replace(kernel, bump=(point, delta))
+    return Kernel(kernel.family, kernel.order, kernel.rows, (point, delta))
 
 
 @lru_cache(maxsize=256)

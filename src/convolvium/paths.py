@@ -22,8 +22,8 @@ counts both and compares them with the arithmetic `exact.gessel`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 ENUMERATION_LIMIT = 22  # max x+y a board may have for explicit enumeration
 
@@ -37,20 +37,26 @@ class TouchSet(str, Enum):
     PREFIX_BAND = "prefix-band"
 
 
-@dataclass(frozen=True)
-class PathSpec:
-    """A target corner and the forbidden diagonal set."""
-
+class _PathSpecFields(NamedTuple):
     target: tuple[int, int]
     touch_set: TouchSet
     bound: int
 
-    def __post_init__(self) -> None:
+
+class PathSpec(_PathSpecFields):
+    """A target corner and the forbidden diagonal set: immutable, validated
+    by the constructor (which `_replace` would skip)."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> PathSpec:
+        self = super().__new__(cls, *args, **kwargs)
         x, y = self.target
         if x < 0 or y < 0:
             raise ValueError(f"target must be non-negative, got {self.target}")
         if self.bound < 0:
             raise ValueError(f"bound must be non-negative, got {self.bound}")
+        return self
 
     def forbids(self, x: int, y: int) -> bool:
         if x != y:

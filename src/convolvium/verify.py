@@ -23,17 +23,14 @@ and 600000 ms otherwise.
 
 from __future__ import annotations
 
-import csv
 import io
-import json
 import math
 import os
 import random
 import time
-from dataclasses import dataclass, field
 from itertools import chain
 from operator import mul
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from . import closed_forms as cf
 from .exact import (
@@ -91,8 +88,7 @@ class RangeTooLarge(ValueError):
     """The requested range's estimated runtime exceeds the budget."""
 
 
-@dataclass(frozen=True)
-class SweepRange:
+class SweepRange(NamedTuple):
     """Overrides for a suite's default parameter box.
 
     A None field keeps the suite's default; suites ignore fields they do not
@@ -106,15 +102,14 @@ class SweepRange:
     seed: int = DEFAULT_SEED
 
 
-@dataclass
-class VerificationReport:
+class VerificationReport(NamedTuple):
     suite: str
     claim: str
     range: dict[str, int]
     cases_checked: int
     violations: list[dict]
     elapsed_ms: float
-    notes: list[str] = field(default_factory=list)
+    notes: Sequence[str] = ()
 
     @property
     def passed(self) -> bool:
@@ -508,14 +503,13 @@ def _run_paths(ctx: _SuiteCtx) -> None:
 # ------------------------------------------------------------------- registry
 
 
-@dataclass(frozen=True, eq=False)
-class SuiteSpec:
+class SuiteSpec(NamedTuple):
     name: str
     claim: str
     defaults: dict[str, int]
     runner: Callable[[_SuiteCtx], None]
     estimator: Callable[[dict[str, int]], float]
-    minimums: dict[str, int] = field(default_factory=dict)  # over _MIN_DEFAULTS
+    minimums: dict[str, int] = {}  # over _MIN_DEFAULTS; only ever read
 
 
 def _est_weighted(p: dict[str, int]) -> float:
@@ -853,6 +847,8 @@ def reports_to_json(reports: list[VerificationReport], *, include_timings: bool 
     With include_timings False (the default) the output is byte-identical
     across runs of the same ranges and seed.
     """
+    import json  # imported here so that `import convolvium` loads no writer
+
     payload = {
         "passed": all(r.passed for r in reports),
         "total_cases": sum(r.cases_checked for r in reports),
@@ -865,6 +861,9 @@ def reports_to_json(reports: list[VerificationReport], *, include_timings: bool 
 def reports_to_csv(reports: list[VerificationReport]) -> str:
     """CSV of violations only: header suite,params,expected,actual and one
     row per violation. A fully green batch serializes as just the header."""
+    import csv
+    import json
+
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["suite", "params", "expected", "actual"])

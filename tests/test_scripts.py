@@ -9,6 +9,8 @@ from __future__ import annotations
 import importlib.util
 from pathlib import Path
 
+import pytest
+
 from convolvium import cli
 from convolvium.verify import SweepRange, reports_to_json, run_all, suite_names
 
@@ -84,3 +86,26 @@ def test_kr_window_scan_reports_worst_witnesses(capsys):
     # at window 0 the candidates 2 and 4 below K_2 = 6 have no witness
     assert script.main(["--r-max", "2", "--window", "0"]) == 1
     assert "candidates [2, 4]" in capsys.readouterr().out
+
+
+def test_kr_window_scan_refuses_an_empty_r_range(capsys):
+    # --r-max 0 used to print a bare header and exit 0
+    script = _load("kr_window_scan")
+    for r_max in ("0", "-3"):
+        with pytest.raises(SystemExit) as exc:
+            script.main(["--r-max", r_max])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--r-max must be at least 1" in captured.err
+
+
+def test_kr_window_scan_refuses_a_negative_window(capsys):
+    # --window -1 used to report every candidate "(none in window)", exit 1
+    script = _load("kr_window_scan")
+    with pytest.raises(SystemExit) as exc:
+        script.main(["--r-max", "2", "--window", "-1"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--window must be non-negative" in captured.err

@@ -14,14 +14,24 @@ import math
 import os
 import subprocess
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 import convolvium
 from convolvium import verify
-from convolvium.kernels import Kernel, KernelFamily, custom_kernel, with_bump
+from convolvium.kernels import (
+    Kernel,
+    KernelFamily,
+    central_kernel,
+    custom_kernel,
+    gessel_kernel,
+    plain_kernel,
+    rising_kernel,
+    supercat_kernel,
+    with_bump,
+)
+from convolvium.paths import gessel_path_spec
 from convolvium.verify import (
     FUZZ_KERNEL_COUNT,
     RangeTooLarge,
@@ -248,7 +258,28 @@ def test_kernel_bump_validation():
         with pytest.raises(ValueError):
             with_bump(base, point, delta)
         with pytest.raises(ValueError):
-            replace(base, bump=(point, delta))
+            Kernel(base.family, order=base.order, bump=(point, delta))
+
+
+def test_records_are_immutable_and_equal_by_fields():
+    kernel = with_bump(Kernel(KernelFamily.GESSEL, order=2), (4, 1, 1), 3)
+    spec = gessel_path_spec(2, 1)
+    for record, name, value in ((kernel, "order", 3), (spec, "bound", 0)):
+        with pytest.raises(AttributeError):
+            setattr(record, name, value)
+        assert getattr(record, name) != value
+    for make in (plain_kernel, rising_kernel, central_kernel, lambda: gessel_kernel(3)):
+        assert make() == make() and hash(make()) == hash(make())
+    assert kernel == with_bump(gessel_kernel(2), (4, 1, 1), 3)
+    assert kernel != with_bump(gessel_kernel(2), (4, 1, 1), 2)
+    assert hash(kernel) == hash(with_bump(gessel_kernel(2), (4, 1, 1), 3))
+    assert gessel_kernel(2) != supercat_kernel(2)
+
+
+def test_default_sweep_range_keeps_every_default():
+    sweep = SweepRange()
+    assert sweep.seed == verify.DEFAULT_SEED
+    assert (sweep.n_max, sweep.m_max, sweep.r_max, sweep.a_max) == (None, None, None, None)
 
 
 @pytest.mark.parametrize(
@@ -466,6 +497,8 @@ def test_report_to_json_dict_roundtrip():
     assert d["elapsed_ms"] == 0
     assert rep.to_json_dict(include_timings=True)["elapsed_ms"] == 12.5
     json.dumps(d)  # must be serializable as-is
+    bare = VerificationReport("x", "c", {}, 0, [], 0.0)
+    assert json.loads(reports_to_json([bare]))["suites"][0]["notes"] == []
 
 
 def test_kr_minimality_counts_candidates():
