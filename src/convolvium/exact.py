@@ -59,11 +59,12 @@ def central_binomial(n: int) -> int:
     return math.comb(2 * n, n)
 
 
-# Each of the three caches holds far more than one run reads: `verify all`
-# reads 13 catalan, 125 super_catalan and 88 gessel values, a bigint-sweep
-# pass 24 gessel values (kernel rows walk their own factors); the bound
-# keeps a `table` sweep from piling up entries.
-@lru_cache(maxsize=4096)
+# Each of the three caches is sized by what a run reads: `verify all` reads
+# 13 catalan, 125 super_catalan and 88 gessel values, a bigint-sweep pass 24
+# gessel values (kernel rows walk their own factors), and `verify
+# closed-forms --n-max 20` 362 super_catalan values, which 512 holds and 256
+# does not. The bound keeps a `table` sweep from piling up entries.
+@lru_cache(maxsize=512)
 def catalan(n: int) -> int:
     """The n-th Catalan number, binomial(2n, n) / (n + 1)."""
     if n < 0:
@@ -71,7 +72,7 @@ def catalan(n: int) -> int:
     return exact_div(binomial(2 * n, n), n + 1)
 
 
-@lru_cache(maxsize=4096)
+@lru_cache(maxsize=512)
 def super_catalan(n: int, r: int) -> int:
     """Super Catalan number S(n, r) = binomial(2n,n) binomial(2r,r) / binomial(n+r,n).
 
@@ -89,7 +90,7 @@ def half_super_catalan(n: int, r: int) -> int:
     return exact_div(super_catalan(n, r), 2)
 
 
-@lru_cache(maxsize=4096)
+@lru_cache(maxsize=512)
 def gessel(n: int, r: int) -> int:
     """Gessel number P(n, r) = r/(2(n+r)) * binomial(2n,n) * binomial(2r,r).
 

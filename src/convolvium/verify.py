@@ -256,31 +256,22 @@ def _run_psi_m1(ctx: _SuiteCtx) -> None:
 
 
 def _run_closed_forms(ctx: _SuiteCtx) -> None:
-    p = ctx.params
+    """Each closed form against its M-sum at every instance of its kernel
+    family: the instance's name (r, a or nothing) is the family's own
+    parameter, and msum_counterpart sums at the instance's a."""
     for family in cf.ClosedFormFamily:
-        takes = cf.FAMILY_PARAMS[family]
-        _, kfam, _ = cf.FAMILIES[family]
-        r_values = range(1, p["r_max"] + 1) if "r" in takes else (1,)
-        a_values = range(p["a_max"] + 1) if "a" in takes else (0,)
-        kerns = {r: ctx.mk(kfam, r if kfam in PARAMETERIZED_FAMILIES else None) for r in r_values}
-        for n in range(p["n_max"] + 1):
+        takes_j = "j" in cf.FAMILY_PARAMS[family]
+        insts = _instances(ctx, cf.FAMILIES[family][1])
+        for n in range(ctx.params["n_max"] + 1):
             # probe one offset past the half index: both sides must vanish
-            j_values = range(n + 2) if "j" in takes else (0,)
-            for j in j_values:
-                for r, kern in kerns.items():
-                    for a in a_values:
-                        params = {"family": family.value, "n": n}
-                        if "j" in takes:
-                            params["j"] = j
-                        if "r" in takes:
-                            params["r"] = r
-                        if "a" in takes:
-                            params["a"] = a
-                        ctx.equal(
-                            params,
-                            cf.closed_form(family, n=n, j=j, r=r, a=a),
-                            cf.msum_counterpart(family, n=n, j=j, r=r, a=a, kernel=kern),
-                        )
+            for j in range(n + 2) if takes_j else (0,):
+                at = {"family": family.value, "n": n, **({"j": j} if takes_j else {})}
+                for kern, _, name in insts:
+                    ctx.equal(
+                        {**at, **name},
+                        cf.closed_form(family, n=n, j=j, **name),
+                        cf.msum_counterpart(family, n=n, j=j, kernel=kern, **name),
+                    )
 
 
 def _builtin_kernels(ctx: _SuiteCtx) -> list[tuple[Kernel, int]]:

@@ -115,6 +115,13 @@ def test_verify_all_json_byte_identical(capsys):
     assert out1 == out2
     payload = json.loads(out1)
     assert len(payload["suites"]) == 17
+    assert [s["suite"] for s in payload["suites"]] == list(verify.suite_names())
+    # the plain form gives one verdict line per suite, in the same order
+    code, out, _ = run(capsys, "verify", "all", *_TRIM_FLAGS)
+    assert code == 0
+    assert out.splitlines() == [
+        f"{s['suite']} PASS cases={s['cases_checked']} violations=0" for s in payload["suites"]
+    ]
 
 
 def test_verify_csv_format(capsys):

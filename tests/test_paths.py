@@ -72,20 +72,17 @@ def test_enumeration_respects_forbidden_set():
             assert not spec.forbids(x, y)
 
 
-def _filtered_combinations(spec):
-    """The reference enumeration: every choice of R positions, in
-    itertools.combinations order, kept when no vertex of its path is
-    forbidden."""
-    x_max, y_max = spec.target
+def _walks(target):
+    """Every choice of R positions on the board to `target`, in
+    itertools.combinations order: its step string and the vertex after
+    each step."""
+    x_max, y_max = target
     length = x_max + y_max
-    if spec.forbids(0, 0):
-        return []
-    found = []
+    walks = []
     for r_positions in itertools.combinations(range(length), x_max):
         chosen = set(r_positions)
         x = y = 0
-        steps = []
-        ok = True
+        steps, vertices = [], []
         for i in range(length):
             if i in chosen:
                 x += 1
@@ -93,23 +90,33 @@ def _filtered_combinations(spec):
             else:
                 y += 1
                 steps.append("U")
-            if spec.forbids(x, y):
-                ok = False
-                break
-        if ok:
-            found.append("".join(steps))
-    return found
+            vertices.append((x, y))
+        walks.append(("".join(steps), vertices))
+    return walks
+
+
+def _filtered_combinations(spec, walks):
+    """The reference enumeration: the walks of spec's board, kept when no
+    vertex of the path is forbidden."""
+    x_max, y_max = spec.target
+    if spec.forbids(0, 0):
+        return []
+    cells = itertools.product(range(x_max + 1), range(y_max + 1))
+    forbidden = {(x, y) for x, y in cells if spec.forbids(x, y)}
+    return [steps for steps, vertices in walks if forbidden.isdisjoint(vertices)]
 
 
 def test_walk_matches_the_combinations_filter():
     # same paths in the same order on every small board, both touch sets
-    # and bounds 0-8; a gessel tail of bound 0 forbids the origin itself
+    # and bounds 0-8; a gessel tail of bound 0 forbids the origin itself.
+    # Each board is walked once and that one list is filtered per spec
     for x in range(15):
         for y in range(15 - x):
+            walks = _walks((x, y))
             for touch in TouchSet:
                 for bound in range(9):
                     spec = PathSpec((x, y), touch, bound)
-                    assert enumerate_paths(spec) == _filtered_combinations(spec), spec
+                    assert enumerate_paths(spec) == _filtered_combinations(spec, walks), spec
             assert enumerate_paths(PathSpec((x, y), TouchSet.GESSEL_TAIL, 0)) == []
 
 

@@ -12,7 +12,6 @@ from pathlib import Path
 import pytest
 
 from convolvium import cli
-from convolvium.verify import SweepRange, reports_to_json, run_all, suite_names
 
 _SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
@@ -22,39 +21,6 @@ def _load(name: str):
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
-
-
-def test_run_verification_prints_verdicts_and_writes_the_report(capsys, tmp_path):
-    script = _load("run_verification")
-    target = tmp_path / "report.json"
-    trim = ["--n-max", "3", "--m-max", "2", "--r-max", "2", "--a-max", "1"]
-    code = script.main([*trim, "--json", str(target)])
-    out = capsys.readouterr().out
-    assert code == 0
-    verdicts = [line.split()[0] for line in out.splitlines() if "  PASS  " in line or "  FAIL  " in line]
-    assert verdicts == list(suite_names())
-    # the default seed is the library's, so the report equals run_all's
-    sweep = SweepRange(n_max=3, m_max=2, r_max=2, a_max=1)
-    assert target.read_text() == reports_to_json(run_all(sweep))
-
-
-def test_run_verification_refuses_a_malformed_budget(capsys, monkeypatch):
-    script = _load("run_verification")
-    monkeypatch.setenv("CONVOLVIUM_BUDGET_MS", "abc")
-    assert script.main(["--n-max", "3"]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("error: CONVOLVIUM_BUDGET_MS")
-
-
-def test_run_verification_refuses_an_unwritable_json_path(capsys, tmp_path):
-    script = _load("run_verification")
-    target = tmp_path / "missing" / "report.json"
-    trim = ["--n-max", "3", "--m-max", "2", "--r-max", "2", "--a-max", "1"]
-    assert script.main([*trim, "--json", str(target)]) == 2
-    err = capsys.readouterr().err
-    assert err == f"error: cannot write report to {target}: No such file or directory\n"
-    assert not target.parent.exists()
 
 
 def test_make_tables_writes_what_the_table_command_prints(capsys, tmp_path):
