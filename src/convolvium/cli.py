@@ -107,7 +107,9 @@ def _build_parser() -> argparse.ArgumentParser:
     ver.add_argument(
         "--timings",
         action="store_true",
-        help="include real elapsed_ms in JSON (forfeits byte-identical output)",
+        help="add each suite's real elapsed_ms to its plain verdict line or its JSON "
+        "record (forfeits byte-identical output); refused with csv, which holds only "
+        "violations",
     )
 
     pat = sub.add_parser(
@@ -185,10 +187,11 @@ def _cmd_compute(args: argparse.Namespace) -> int:
     return 0
 
 
-def _plain_report_lines(reports) -> Iterable[str]:
+def _plain_report_lines(reports, timings: bool) -> Iterable[str]:
     for rep in reports:
         status = "PASS" if rep.passed else "FAIL"
-        yield f"{rep.suite} {status} cases={rep.cases_checked} violations={len(rep.violations)}"
+        line = f"{rep.suite} {status} cases={rep.cases_checked} violations={len(rep.violations)}"
+        yield f"{line} elapsed_ms={round(rep.elapsed_ms, 3)}" if timings else line
         for note in rep.notes:
             yield f"  note: {note}"
         for violation in rep.violations:
@@ -199,6 +202,8 @@ def _plain_report_lines(reports) -> Iterable[str]:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    if args.timings and args.format == "csv":
+        raise _UsageError("--timings needs --format plain or json: the csv report holds only violations")
     sweep = SweepRange(
         n_max=args.n_max,
         m_max=args.m_max,
@@ -216,7 +221,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     elif args.format == "csv":
         text = reports_to_csv(reports)
     else:
-        text = "\n".join(_plain_report_lines(reports)) + "\n"
+        text = "\n".join(_plain_report_lines(reports, args.timings)) + "\n"
 
     if args.out is not None:
         try:

@@ -22,12 +22,25 @@ The vector forms return a whole offset range at once: `m_sum_vector` the
 M-sums at j = 0..n//2 of one row and level, `m_sum_lift_vector` the next
 level up from one level-t vector, and `theorem2_transform_vector` the
 transplant at j = 0..n from one level-0 vector of G. The scalar functions
-are views over the same per-offset code.
+read the same coefficients for the offsets they need.
 
-Coefficients that depend only on indices come from bounded caches, each
-entry one O(n) row: `_pascal(n)` holds binomial(n, 0..n), walked like a
-kernel row by one exact step per entry, and
-`_transplant_weights(n, j, a)` the a+1 transplant coefficients of one offset.
+Each recurrence reads its coefficients, which depend only on indices, from
+one source: a "plan" that holds every offset's coefficients already scaled,
+so an offset costs one dot product with the row or vector it reads:
+
+    _m_plan(n, t)[j][i]             binomial(n-j, j) binomial(n-2j, i)
+                                    binomial(n, j+i)^t
+    _lift_plan(n)[j][u]             binomial(n, j) binomial(n-j, u)
+    _transplant_weights(n, a)[j][u] binomial(a+j, a) binomial(n-j+l, l)
+                                    binomial(n-j, a-l), l = a-u
+
+Whole plans are memoised in bounded caches while n <= _PLAN_CUTOFF (64);
+above it, each offset's coefficients are built as they are consumed, so a
+scalar call stays O(n) and a large vector leaves no plan behind. A default
+`verify all` leaves about 0.04 MB in the three plan caches. `_pascal(n)`
+holds binomial(n, 0..n), walked like a kernel row by one exact step per
+entry; `direct_sum` keeps its own binomial(n, k)^m weights from it, apart
+from the plans, so eq7 compares two separately built sums.
 
 Sums are evaluated in ascending k with plain integer arithmetic; there are no
 floating-point or modular shortcuts anywhere.
@@ -36,9 +49,10 @@ floating-point or modular shortcuts anywhere.
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import islice, repeat
 from math import comb
 from operator import mul
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .kernels import (
     Kernel,
@@ -48,8 +62,16 @@ from .kernels import (
     supercat_kernel,
 )
 
+# Whole plans are memoised only up to this n. A plan at n holds about n^2/4
+# coefficients of O(n) bits each, O((t+1) n) for the M-sum plan at level t,
+# so it grows like n^3: 0.02 MB at n = 40, 0.8 MB at n = 200, 5.3 MB at
+# n = 400 (M-sum plan, t = 1). Above the cutoff, and for an M-sum plan whose
+# n (t+1) exceeds 4 * _PLAN_CUTOFF, each offset's coefficients are built as
+# they are consumed and kept by no cache.
+_PLAN_CUTOFF = 64
 
-def _check_args(**named: int) -> None:
+
+def _refuse_negative(**named: int) -> None:
     for name, value in named.items():
         if value < 0:
             raise ValueError(f"{name} must be non-negative, got {value}")
@@ -66,43 +88,73 @@ def _pascal(n: int) -> tuple[int, ...]:
 def direct_sum(kernel: Kernel, n: int, m: int, a: int = 0) -> int:
     """sum_{k=0}^{n} binomial(n, k)^m * F(n, k, a), a dot product with the
     kernel row."""
-    _check_args(n=n, a=a)
+    if min(n, a) < 0:
+        _refuse_negative(n=n, a=a)
     if m < 1:
         raise ValueError(f"m must be at least 1, got {m}")
     return sum(c**m * f for c, f in zip(_pascal(n), kernel.row(n, a)))
 
 
-def _weigh(row: Sequence[int], t: int) -> Sequence[int]:
-    """binomial(n, k)^t F(n, k, a) for k = 0..n, from the row F(n, ., a); at
-    t = 0 the row itself."""
-    if t == 0:
-        return row
-    return [c**t * f for c, f in zip(_pascal(len(row) - 1), row)]
+def _apply(coeffs: Iterable[Iterable[int]], values: Sequence[int], lo: int = 0) -> list[int]:
+    """For the coefficients c of offsets j = lo, lo+1, ... in turn, the sum
+    of c[i] * values[j+i] over the shorter of the two."""
+    return [sum(map(mul, c, values[j:])) for j, c in enumerate(coeffs, lo)]
 
 
-def _m_sum_at(weighted: Sequence[int], n: int, j: int) -> int:
-    """The offset-j M-sum (2j <= n) from the weighted row."""
-    inner = sum(map(mul, _pascal(n - 2 * j), weighted[j : n - j + 1]))
-    return comb(n - j, j) * inner
+# ------------------------------------------------------------- M-sum plan
+
+
+def _m_offset(n: int, j: int, powers: Sequence[int]) -> Iterable[int]:
+    """The offset-j M-sum's coefficients of F(n, j+i, a), i = 0..n-2j:
+    binomial(n-j, j) binomial(n-2j, i) binomial(n, j+i)^t, where `powers`
+    holds binomial(n, 0..n)^t."""
+    lead = repeat(comb(n - j, j))
+    return map(mul, map(mul, _pascal(n - 2 * j), powers[j:]), lead)
+
+
+def _m_powers(n: int, t: int) -> list[int]:
+    return [c**t for c in _pascal(n)]
+
+
+@lru_cache(maxsize=256)
+def _m_plan(n: int, t: int) -> tuple[tuple[int, ...], ...]:
+    """The M-sum coefficients of every offset j = 0..n//2 at (n, t). The
+    bound holds every plan of an eq8 sweep at n <= 63 and t <= 3."""
+    powers = _m_powers(n, t)
+    return tuple([tuple(_m_offset(n, j, powers)) for j in range(n // 2 + 1)])
+
+
+def _m_coeffs(n: int, t: int, lo: int, hi: int) -> Iterable[Iterable[int]]:
+    """The M-sum coefficients of offsets lo..hi-1 (hi <= n//2 + 1): read
+    from the memoised plan while the plan is small, else built one offset at
+    a time."""
+    if n <= _PLAN_CUTOFF and n * (t + 1) <= 4 * _PLAN_CUTOFF:
+        return _m_plan(n, t)[lo:hi]
+    powers = _m_powers(n, t)
+    return (_m_offset(n, j, powers) for j in range(lo, hi))
 
 
 def m_sum_vector(row: Sequence[int], t: int) -> tuple[int, ...]:
     """The level-t M-sums at every offset j = 0..n//2 of the kernel row
     F(n, 0..n, a), where n = len(row) - 1."""
-    _check_args(t=t)
+    if t < 0:
+        raise ValueError(f"t must be non-negative, got {t}")
     if not row:
         raise ValueError("a kernel row has at least one entry")
-    n = len(row) - 1
-    weighted = _weigh(row, t)
-    return tuple([_m_sum_at(weighted, n, j) for j in range(n // 2 + 1)])
+    return tuple(_apply(_m_coeffs(len(row) - 1, t, 0, (len(row) + 1) // 2), row))
 
 
 def m_sum(kernel: Kernel, n: int, j: int, t: int, a: int = 0) -> int:
     """Restricted sum at offset j and weight level t; 0 when 2j > n."""
-    _check_args(n=n, j=j, t=t, a=a)
+    if min(n, j, t, a) < 0:
+        _refuse_negative(n=n, j=j, t=t, a=a)
     if 2 * j > n:
         return 0
-    return _m_sum_at(_weigh(kernel.row(n, a), t), n, j)
+    (value,) = _apply(_m_coeffs(n, t, j, j + 1), kernel.row(n, a), j)
+    return value
+
+
+# -------------------------------------------------------------- lift plan
 
 
 def _check_level(level: Sequence[int], n: int) -> None:
@@ -112,54 +164,81 @@ def _check_level(level: Sequence[int], n: int) -> None:
         )
 
 
-def _lift_at(level: Sequence[int], n: int, j: int) -> int:
-    # binomial(n-j, u) times the level-t offset j+u, for u = 0..n//2 - j
-    return comb(n, j) * sum(map(mul, _pascal(n - j), level[j:]))
+def _lift_offset(n: int, j: int) -> Iterable[int]:
+    """The offset-j lift's coefficients of the level-t offsets j+u,
+    u = 0..n//2 - j: binomial(n, j) binomial(n-j, u)."""
+    return map(mul, islice(_pascal(n - j), n // 2 - j + 1), repeat(comb(n, j)))
+
+
+@lru_cache(maxsize=_PLAN_CUTOFF + 1)
+def _lift_plan(n: int) -> tuple[tuple[int, ...], ...]:
+    """The lift coefficients of every offset j = 0..n//2 at n; the bound
+    holds every n <= _PLAN_CUTOFF."""
+    return tuple([tuple(_lift_offset(n, j)) for j in range(n // 2 + 1)])
+
+
+def _lift_coeffs(n: int, lo: int, hi: int) -> Iterable[Iterable[int]]:
+    if n <= _PLAN_CUTOFF:
+        return _lift_plan(n)[lo:hi]
+    return map(_lift_offset, repeat(n), range(lo, hi))
 
 
 def m_sum_lift_vector(level: Sequence[int], n: int) -> tuple[int, ...]:
     """The level-raise recurrence: the level-(t+1) M-sums at offsets
     j = 0..n//2, from the level-t M-sums `level` at the same offsets. Offset
     j reads the level-t offsets j..n//2."""
-    _check_args(n=n)
+    if n < 0:
+        raise ValueError(f"n must be non-negative, got {n}")
     _check_level(level, n)
-    return tuple([_lift_at(level, n, j) for j in range(n // 2 + 1)])
+    return tuple(_apply(_lift_coeffs(n, 0, n // 2 + 1), level))
 
 
 def m_sum_lift(kernel: Kernel, n: int, j: int, t: int, a: int = 0) -> int:
     """The level-raise recurrence: evaluates the offset-j M-sum at level t+1
     from the level-t M-sums at offsets j..j+floor((n-2j)/2)."""
-    _check_args(n=n, j=j, t=t, a=a)
+    if min(n, j, t, a) < 0:
+        _refuse_negative(n=n, j=j, t=t, a=a)
     if 2 * j > n:
         return 0
-    return _lift_at(m_sum_vector(kernel.row(n, a), t), n, j)
+    (value,) = _apply(_lift_coeffs(n, j, j + 1), m_sum_vector(kernel.row(n, a), t), j)
+    return value
 
 
-@lru_cache(maxsize=1024)
-def _transplant_weights(n: int, j: int, a: int) -> tuple[int, ...]:
-    """The coefficients of G's level-0 offsets j+u, u = 0..min(a, n//2 - j),
-    in the offset-j transplant (2j <= n): binomial(a+j, a) binomial(n-j+l, l)
-    binomial(n-j, a-l) at l = a-u. A thm2 sweep reads each (n, j, a) once per
-    random kernel; an entry holds at most a+1 integers."""
+# -------------------------------------------------------- transplant plan
+
+
+def _transplant_offset(n: int, a: int, j: int) -> tuple[int, ...]:
+    """The offset-j transplant's coefficients of G's level-0 offsets j+u,
+    u = 0..min(a, n//2 - j): binomial(a+j, a) binomial(n-j+l, l)
+    binomial(n-j, a-l) at l = a-u."""
     lead = comb(a + j, a)
     top = min(a, n // 2 - j)
     return tuple([lead * comb(n - j + a - u, a - u) * comb(n - j, u) for u in range(top + 1)])
 
 
-def _transplant_at(tail: Sequence[int], n: int, j: int, a: int) -> int:
-    """The offset-j transplant (2j <= n) from G's level-0 M-sums at offsets
-    j, j+1, ... (`tail`, at least min(a, n//2 - j) + 1 of them)."""
-    return sum(map(mul, _transplant_weights(n, j, a), tail))
+@lru_cache(maxsize=256)
+def _transplant_weights(n: int, a: int) -> tuple[tuple[int, ...], ...]:
+    """The transplant coefficients of every offset j = 0..n//2 at (n, a). A
+    thm2 sweep reads each (n, a) once per random kernel; an offset holds at
+    most a+1 integers."""
+    return tuple([_transplant_offset(n, a, j) for j in range(n // 2 + 1)])
+
+
+def _transplant_coeffs(n: int, a: int, lo: int, hi: int) -> Iterable[tuple[int, ...]]:
+    if n <= _PLAN_CUTOFF:
+        return _transplant_weights(n, a)[lo:hi]
+    return map(_transplant_offset, repeat(n), repeat(a), range(lo, hi))
 
 
 def theorem2_transform_vector(level0: Sequence[int], n: int, a: int) -> tuple[int, ...]:
     """The kernel-transplant recurrence at every offset j = 0..n, from the
     level-0 M-sums `level0` (offsets 0..n//2) of G at (n, a). Offsets past
     n/2 are 0."""
-    _check_args(n=n, a=a)
+    if min(n, a) < 0:
+        _refuse_negative(n=n, a=a)
     _check_level(level0, n)
     half = n // 2
-    moved = [_transplant_at(level0[j : j + a + 1], n, j, a) for j in range(half + 1)]
+    moved = _apply(_transplant_coeffs(n, a, 0, half + 1), level0)
     return tuple(moved + [0] * (n - half))
 
 
@@ -177,12 +256,13 @@ def theorem2_transform(g_kernel: Kernel, n: int, j: int, a: int) -> int:
     yield 0 without reading G: every M-sum of G the sum needs sits at an
     offset >= j, where it vanishes.
     """
-    _check_args(n=n, j=j, a=a)
+    if min(n, j, a) < 0:
+        _refuse_negative(n=n, j=j, a=a)
     if 2 * j > n:
         return 0
-    row = g_kernel.row(n, a)
-    tail = [_m_sum_at(row, n, i) for i in range(j, min(j + a, n // 2) + 1)]
-    return _transplant_at(tail, n, j, a)
+    tail = _apply(_m_coeffs(n, 0, j, min(j + a, n // 2) + 1), g_kernel.row(n, a), j)
+    (value,) = _apply(_transplant_coeffs(n, a, j, j + 1), tail)
+    return value
 
 
 def gessel_convolution(n: int, m: int, r: int) -> int:

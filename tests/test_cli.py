@@ -137,6 +137,25 @@ def test_verify_timings_forfeit_byte_identity_but_carry_data(capsys):
     assert any(s["elapsed_ms"] > 0 for s in payload["suites"])
 
 
+def test_verify_timings_in_plain_end_each_verdict_line(capsys):
+    code, out, _ = run(capsys, "verify", "all", *_TRIM_FLAGS, "--timings")
+    assert code == 0
+    lines = out.splitlines()
+    assert [line.split()[0] for line in lines] == list(verify.suite_names())
+    for line in lines:
+        head, _, elapsed = line.rpartition(" elapsed_ms=")
+        assert head.endswith("violations=0")
+        assert float(elapsed) >= 0
+    assert any(float(line.rpartition("=")[2]) > 0 for line in lines)
+
+
+def test_verify_timings_with_csv_is_a_usage_error(capsys):
+    code, out, err = run(capsys, "verify", "remark1", "--format", "csv", "--timings")
+    assert code == 2
+    assert out == ""
+    assert "--timings" in err and "csv" in err
+
+
 def test_verify_out_writes_file_and_keeps_stdout_clean(capsys, tmp_path):
     target = tmp_path / "report.json"
     code, out, err = run(

@@ -75,3 +75,61 @@ def test_kr_window_scan_refuses_a_negative_window(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "--window must be non-negative" in captured.err
+
+
+def _result(**values):
+    return {"correct": True, "metrics": {k: {"value": v, "unit": "s"} for k, v in values.items()}}
+
+
+def test_paired_runs_summary_reads_each_metric_in_its_direction():
+    script = _load("paired_runs")
+    walls = [(1.0, 0.9), (1.2, 0.95), (1.1, 1.15), (1.3, 1.0), (1.0, 0.8)]
+    rates = [(10, 12), (11, 10), (12, 13), (10, 11), (9, 10)]
+    pairs = [
+        (_result(wall_s=pw, cases_per_s=pr), _result(wall_s=cw, cases_per_s=cr))
+        for (pw, cw), (pr, cr) in zip(walls, rates)
+    ]
+    end_to_end = [
+        {"name": "wall_s", "unit": "s", "better": "lower"},
+        {"name": "cases_per_s", "unit": "1/s", "better": "higher"},
+    ]
+    wall, rate = script.summarize(pairs, end_to_end)
+    # parent walls 1.0 1.0 1.1 1.2 1.3: median 1.1, quartiles 1.0 and 1.2;
+    # the change's 0.8 0.9 0.95 1.0 1.15: median 0.95, quartiles 0.9 and 1.0
+    assert wall == (
+        "wall_s (s, lower is better): parent 1.1 [1, 1.2]  change 0.95 [0.9, 1]  "
+        "-13.6%  wins 4/5  beyond parent IQR: no"
+    )
+    # parent rates 9 10 10 11 12, the change's 10 10 11 12 13
+    assert rate == (
+        "cases_per_s (1/s, higher is better): parent 10 [10, 11]  change 11 [10, 12]  "
+        "+10.0%  wins 4/5  beyond parent IQR: no"
+    )
+    # one pair is its own median and quartiles
+    (single,) = script.summarize(pairs[:1], end_to_end[:1])
+    assert "parent 1 [1, 1]  change 0.9 [0.9, 0.9]  -10.0%  wins 1/1  beyond parent IQR: yes" in single
+
+
+def test_paired_runs_refuses_a_directory_without_the_benchmark(capsys, tmp_path):
+    script = _load("paired_runs")
+    with pytest.raises(SystemExit) as exc:
+        script.main([str(tmp_path), str(_SCRIPTS.parent), "--workload", "verify-default",
+                     "--pairs", "2", "--seconds", "1"])
+    assert exc.value.code == 2
+    assert "has no bench/run.py" in capsys.readouterr().err
+
+
+def test_paired_runs_stops_at_the_first_incorrect_run(capsys, monkeypatch):
+    script = _load("paired_runs")
+    calls = []
+
+    def fake_bench(checkout, workload, seed, seconds):
+        calls.append(checkout)
+        return {"correct": len(calls) < 2, "metrics": {"wall_s": {"value": 0.2, "unit": "s"}}}
+
+    monkeypatch.setattr(script, "run_bench", fake_bench)
+    root = str(_SCRIPTS.parent)
+    argv = [root, root, "--workload", "verify-default", "--pairs", "3", "--seconds", "1"]
+    assert script.main(argv) == 1
+    assert len(calls) == 2
+    assert "change run is not correct" in capsys.readouterr().out

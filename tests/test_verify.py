@@ -19,7 +19,7 @@ from pathlib import Path
 import pytest
 
 import convolvium
-from convolvium import verify
+from convolvium import sums, verify
 from convolvium.kernels import (
     Kernel,
     KernelFamily,
@@ -32,6 +32,7 @@ from convolvium.kernels import (
     with_bump,
 )
 from convolvium.paths import gessel_path_spec
+from convolvium.sums import direct_sum
 from convolvium.verify import (
     FUZZ_KERNEL_COUNT,
     RangeTooLarge,
@@ -384,6 +385,48 @@ def test_eq7_sees_either_side_corrupted(monkeypatch, side):
     real = getattr(verify, side)
     monkeypatch.setattr(verify, side, lambda *args: real(*args) + 1)
     assert not run_suite("eq7", _SIDES).passed
+
+
+# The recurrences read their coefficients from cached plans. A wrong plan
+# coefficient must surface in the suites that read it, and direct_sum, the
+# other side of eq7, keeps its own weights.
+
+
+def _corrupt_plan(plan_fn, key, j, i):
+    """plan_fn with coefficient i of offset j raised by one at `key`."""
+
+    def corrupted(*args):
+        plan = plan_fn(*args)
+        if args != key:
+            return plan
+        rows = [list(coeffs) for coeffs in plan]
+        rows[j][i] += 1
+        return tuple(map(tuple, rows))
+
+    return corrupted
+
+
+def test_a_wrong_m_sum_plan_coefficient_fails_eq7_and_eq8(monkeypatch):
+    kerns = [gessel_kernel(2), rising_kernel(), central_kernel(), plain_kernel()]
+    direct = [direct_sum(k, n, m, 1) for k in kerns for n in range(5) for m in (1, 2, 3)]
+    assert run_suite("eq7", _SIDES).passed and run_suite("eq8", _SIDES).passed
+    # level 1 at n = 4: eq7's offset-0 side at m = 2, and eq8's direct side
+    monkeypatch.setattr(sums, "_m_plan", _corrupt_plan(sums._m_plan, (4, 1), 0, 2))
+    assert not run_suite("eq7", _SIDES).passed
+    assert not run_suite("eq8", _SIDES).passed
+    assert [direct_sum(k, n, m, 1) for k in kerns for n in range(5) for m in (1, 2, 3)] == direct
+
+
+def test_a_wrong_lift_plan_coefficient_fails_eq8(monkeypatch):
+    monkeypatch.setattr(sums, "_lift_plan", _corrupt_plan(sums._lift_plan, (4,), 0, 1))
+    assert not run_suite("eq8", _SIDES).passed
+
+
+def test_a_wrong_transplant_plan_coefficient_fails_thm2(monkeypatch):
+    monkeypatch.setattr(
+        sums, "_transplant_weights", _corrupt_plan(sums._transplant_weights, (4, 1), 0, 1)
+    )
+    assert not run_suite("thm2", _SIDES).passed
 
 
 # sha256 of `reports_to_json(run_all(bump=...))` for this gessel(2) bump at
