@@ -12,7 +12,8 @@ finish, stops the script (exit 1).
 For each end-to-end metric in CHANGE_DIR/BENCHMARK.json it prints each
 side's median [q1, q3], the change of the median in %, the pairs the change
 won (its value strictly better, in the metric's declared direction), and
-whether the medians differ by more than the parent's quartile distance.
+whether the change's median is better than the parent's by more than the
+parent's quartile distance.
 """
 
 from __future__ import annotations
@@ -55,11 +56,12 @@ def summarize(pairs: list[tuple[dict, dict]], end_to_end: list[dict]) -> list[st
         c1, cm, c3 = quartiles(change)
         wins = sum((c < p) if lower else (c > p) for p, c in zip(parent, change))
         pct = (cm - pm) / pm * 100 if pm else float("nan")
-        beyond = "yes" if abs(cm - pm) > p3 - p1 else "no"
+        gain = pm - cm if lower else cm - pm
+        beyond = "yes" if gain > p3 - p1 else "no"
         lines.append(
             f"{name} ({metric['unit']}, {metric['better']} is better): "
             f"parent {pm:.6g} [{p1:.6g}, {p3:.6g}]  change {cm:.6g} [{c1:.6g}, {c3:.6g}]  "
-            f"{pct:+.1f}%  wins {wins}/{len(pairs)}  beyond parent IQR: {beyond}"
+            f"{pct:+.1f}%  wins {wins}/{len(pairs)}  better beyond parent IQR: {beyond}"
         )
     return lines
 

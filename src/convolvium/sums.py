@@ -24,23 +24,25 @@ level up from one level-t vector, and `theorem2_transform_vector` the
 transplant at j = 0..n from one level-0 vector of G. The scalar functions
 read the same coefficients for the offsets they need.
 
-Each recurrence reads its coefficients, which depend only on indices, from
-one source: a "plan" that holds every offset's coefficients already scaled,
-so an offset costs one dot product with the row or vector it reads:
+Coefficients that depend only on indices come from bounded caches.
+`_pascal(n)` holds binomial(n, 0..n), walked like a kernel row by one exact
+step per entry, and `_transplant_weights(n, j, a)` the a+1 transplant
+coefficients of one offset. Inside the box a default `verify all` sweeps
+(n <= 12, level t <= 3, transplant a <= 3), each recurrence instead reads a
+memoised "plan": its coefficient matrix, row j holding every input's
+coefficient in offset j already multiplied out, so an offset costs one dot
+product with the row or vector it reads:
 
-    _m_plan(n, t)[j][i]             binomial(n-j, j) binomial(n-2j, i)
-                                    binomial(n, j+i)^t
-    _lift_plan(n)[j][u]             binomial(n, j) binomial(n-j, u)
-    _transplant_weights(n, a)[j][u] binomial(a+j, a) binomial(n-j+l, l)
-                                    binomial(n-j, a-l), l = a-u
+    _m_plan(n, t)[j][k]          binomial(n-j, j) binomial(n-2j, k-j)
+                                 binomial(n, k)^t
+    _lift_plan(n)[j][i]          binomial(n, j) binomial(n-j, i-j)
+    _transplant_plan(n, a)[j][i] _transplant_weights(n, j, a)[i-j]
 
-Whole plans are memoised in bounded caches while n <= _PLAN_CUTOFF (64);
-above it, each offset's coefficients are built as they are consumed, so a
-scalar call stays O(n) and a large vector leaves no plan behind. A default
-`verify all` leaves about 0.04 MB in the three plan caches. `_pascal(n)`
-holds binomial(n, 0..n), walked like a kernel row by one exact step per
-entry; `direct_sum` keeps its own binomial(n, k)^m weights from it, apart
-from the plans, so eq7 compares two separately built sums.
+with zeros below the diagonal (k < j, i < j). A default `verify all` leaves
+about 0.07 MB of plans. Outside the box the recurrences weigh the row once
+per call and evaluate offset by offset from O(n) rows, keeping no plan.
+`direct_sum` keeps its own binomial(n, k)^m weights, apart from the plans,
+so eq7 compares two separately built sums.
 
 Sums are evaluated in ascending k with plain integer arithmetic; there are no
 floating-point or modular shortcuts anywhere.
@@ -49,10 +51,9 @@ floating-point or modular shortcuts anywhere.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import islice, repeat
 from math import comb
 from operator import mul
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .kernels import (
     Kernel,
@@ -62,16 +63,11 @@ from .kernels import (
     supercat_kernel,
 )
 
-# Whole plans are memoised only up to this n. A plan at n holds about n^2/4
-# coefficients of O(n) bits each, O((t+1) n) for the M-sum plan at level t,
-# so it grows like n^3: 0.02 MB at n = 40, 0.8 MB at n = 200, 5.3 MB at
-# n = 400 (M-sum plan, t = 1). Above the cutoff, and for an M-sum plan whose
-# n (t+1) exceeds 4 * _PLAN_CUTOFF, each offset's coefficients are built as
-# they are consumed and kept by no cache.
-_PLAN_CUTOFF = 64
 
-
-def _refuse_negative(**named: int) -> None:
+def _check_args(**named: int) -> None:
+    # The vector forms, about 13,000 calls in a default `verify all`, call
+    # this only once a cheap guard has found a negative argument: building
+    # the keyword dict on every call cost them about 5 ms a run.
     for name, value in named.items():
         if value < 0:
             raise ValueError(f"{name} must be non-negative, got {value}")
@@ -88,73 +84,69 @@ def _pascal(n: int) -> tuple[int, ...]:
 def direct_sum(kernel: Kernel, n: int, m: int, a: int = 0) -> int:
     """sum_{k=0}^{n} binomial(n, k)^m * F(n, k, a), a dot product with the
     kernel row."""
-    if min(n, a) < 0:
-        _refuse_negative(n=n, a=a)
+    _check_args(n=n, a=a)
     if m < 1:
         raise ValueError(f"m must be at least 1, got {m}")
     return sum(c**m * f for c, f in zip(_pascal(n), kernel.row(n, a)))
 
 
-def _apply(coeffs: Iterable[Iterable[int]], values: Sequence[int], lo: int = 0) -> list[int]:
-    """For the coefficients c of offsets j = lo, lo+1, ... in turn, the sum
-    of c[i] * values[j+i] over the shorter of the two."""
-    return [sum(map(mul, c, values[j:])) for j, c in enumerate(coeffs, lo)]
+# The plan box: the n and level t (for a transplant, the a) that a default
+# `verify all` reads, where closed-forms, eq7, eq8 and thm2 make about
+# 15,000 recurrence calls over 113 distinct plans. Each cache holds its
+# whole box, so a plan is built once per process and never evicted; a call
+# outside the box builds none.
+_PLAN_N_MAX = 12
+_PLAN_T_MAX = 3
 
 
-# ------------------------------------------------------------- M-sum plan
-
-
-def _m_offset(n: int, j: int, powers: Sequence[int]) -> Iterable[int]:
-    """The offset-j M-sum's coefficients of F(n, j+i, a), i = 0..n-2j:
-    binomial(n-j, j) binomial(n-2j, i) binomial(n, j+i)^t, where `powers`
-    holds binomial(n, 0..n)^t."""
-    lead = repeat(comb(n - j, j))
-    return map(mul, map(mul, _pascal(n - 2 * j), powers[j:]), lead)
-
-
-def _m_powers(n: int, t: int) -> list[int]:
-    return [c**t for c in _pascal(n)]
-
-
-@lru_cache(maxsize=256)
+@lru_cache(maxsize=(_PLAN_N_MAX + 1) * (_PLAN_T_MAX + 1))
 def _m_plan(n: int, t: int) -> tuple[tuple[int, ...], ...]:
-    """The M-sum coefficients of every offset j = 0..n//2 at (n, t). The
-    bound holds every plan of an eq8 sweep at n <= 63 and t <= 3."""
-    powers = _m_powers(n, t)
-    return tuple([tuple(_m_offset(n, j, powers)) for j in range(n // 2 + 1)])
+    """The level-t M-sum coefficients of F(n, k, a) at offsets j = 0..n//2,
+    row j spanning k = 0..n-j."""
+    powers = [c**t for c in _pascal(n)]
+    return tuple([
+        (0,) * j + tuple([comb(n - j, j) * c * w for c, w in zip(_pascal(n - 2 * j), powers[j:])])
+        for j in range(n // 2 + 1)
+    ])
 
 
-def _m_coeffs(n: int, t: int, lo: int, hi: int) -> Iterable[Iterable[int]]:
-    """The M-sum coefficients of offsets lo..hi-1 (hi <= n//2 + 1): read
-    from the memoised plan while the plan is small, else built one offset at
-    a time."""
-    if n <= _PLAN_CUTOFF and n * (t + 1) <= 4 * _PLAN_CUTOFF:
-        return _m_plan(n, t)[lo:hi]
-    powers = _m_powers(n, t)
-    return (_m_offset(n, j, powers) for j in range(lo, hi))
+def _weigh(row: Sequence[int], t: int) -> Sequence[int]:
+    """binomial(n, k)^t F(n, k, a) for k = 0..n, from the row F(n, ., a); at
+    t = 0 the row itself."""
+    if t == 0:
+        return row
+    return [c**t * f for c, f in zip(_pascal(len(row) - 1), row)]
+
+
+def _m_sum_at(weighted: Sequence[int], n: int, j: int) -> int:
+    """The offset-j M-sum (2j <= n) from the weighted row."""
+    inner = sum(map(mul, _pascal(n - 2 * j), weighted[j : n - j + 1]))
+    return comb(n - j, j) * inner
 
 
 def m_sum_vector(row: Sequence[int], t: int) -> tuple[int, ...]:
     """The level-t M-sums at every offset j = 0..n//2 of the kernel row
     F(n, 0..n, a), where n = len(row) - 1."""
     if t < 0:
-        raise ValueError(f"t must be non-negative, got {t}")
+        _check_args(t=t)
     if not row:
         raise ValueError("a kernel row has at least one entry")
-    return tuple(_apply(_m_coeffs(len(row) - 1, t, 0, (len(row) + 1) // 2), row))
+    n = len(row) - 1
+    if n <= _PLAN_N_MAX and t <= _PLAN_T_MAX:
+        return tuple([sum(map(mul, coeffs, row)) for coeffs in _m_plan(n, t)])
+    weighted = _weigh(row, t)
+    return tuple([_m_sum_at(weighted, n, j) for j in range(n // 2 + 1)])
 
 
 def m_sum(kernel: Kernel, n: int, j: int, t: int, a: int = 0) -> int:
     """Restricted sum at offset j and weight level t; 0 when 2j > n."""
-    if min(n, j, t, a) < 0:
-        _refuse_negative(n=n, j=j, t=t, a=a)
+    _check_args(n=n, j=j, t=t, a=a)
     if 2 * j > n:
         return 0
-    (value,) = _apply(_m_coeffs(n, t, j, j + 1), kernel.row(n, a), j)
-    return value
-
-
-# -------------------------------------------------------------- lift plan
+    row = kernel.row(n, a)
+    if n <= _PLAN_N_MAX and t <= _PLAN_T_MAX:
+        return sum(map(mul, _m_plan(n, t)[j], row))
+    return _m_sum_at(_weigh(row, t), n, j)
 
 
 def _check_level(level: Sequence[int], n: int) -> None:
@@ -164,23 +156,20 @@ def _check_level(level: Sequence[int], n: int) -> None:
         )
 
 
-def _lift_offset(n: int, j: int) -> Iterable[int]:
-    """The offset-j lift's coefficients of the level-t offsets j+u,
-    u = 0..n//2 - j: binomial(n, j) binomial(n-j, u)."""
-    return map(mul, islice(_pascal(n - j), n // 2 - j + 1), repeat(comb(n, j)))
-
-
-@lru_cache(maxsize=_PLAN_CUTOFF + 1)
+@lru_cache(maxsize=_PLAN_N_MAX + 1)
 def _lift_plan(n: int) -> tuple[tuple[int, ...], ...]:
-    """The lift coefficients of every offset j = 0..n//2 at n; the bound
-    holds every n <= _PLAN_CUTOFF."""
-    return tuple([tuple(_lift_offset(n, j)) for j in range(n // 2 + 1)])
+    """The lift coefficients of the level-t offsets i = 0..n//2 in the
+    level-(t+1) offsets j = 0..n//2."""
+    half = n // 2
+    return tuple([
+        (0,) * j + tuple([comb(n, j) * c for c in _pascal(n - j)[: half - j + 1]])
+        for j in range(half + 1)
+    ])
 
 
-def _lift_coeffs(n: int, lo: int, hi: int) -> Iterable[Iterable[int]]:
-    if n <= _PLAN_CUTOFF:
-        return _lift_plan(n)[lo:hi]
-    return map(_lift_offset, repeat(n), range(lo, hi))
+def _lift_at(level: Sequence[int], n: int, j: int) -> int:
+    # binomial(n-j, u) times the level-t offset j+u, for u = 0..n//2 - j
+    return comb(n, j) * sum(map(mul, _pascal(n - j), level[j:]))
 
 
 def m_sum_lift_vector(level: Sequence[int], n: int) -> tuple[int, ...]:
@@ -188,46 +177,47 @@ def m_sum_lift_vector(level: Sequence[int], n: int) -> tuple[int, ...]:
     j = 0..n//2, from the level-t M-sums `level` at the same offsets. Offset
     j reads the level-t offsets j..n//2."""
     if n < 0:
-        raise ValueError(f"n must be non-negative, got {n}")
+        _check_args(n=n)
     _check_level(level, n)
-    return tuple(_apply(_lift_coeffs(n, 0, n // 2 + 1), level))
+    if n <= _PLAN_N_MAX:
+        return tuple([sum(map(mul, coeffs, level)) for coeffs in _lift_plan(n)])
+    return tuple([_lift_at(level, n, j) for j in range(n // 2 + 1)])
 
 
 def m_sum_lift(kernel: Kernel, n: int, j: int, t: int, a: int = 0) -> int:
     """The level-raise recurrence: evaluates the offset-j M-sum at level t+1
     from the level-t M-sums at offsets j..j+floor((n-2j)/2)."""
-    if min(n, j, t, a) < 0:
-        _refuse_negative(n=n, j=j, t=t, a=a)
+    _check_args(n=n, j=j, t=t, a=a)
     if 2 * j > n:
         return 0
-    (value,) = _apply(_lift_coeffs(n, j, j + 1), m_sum_vector(kernel.row(n, a), t), j)
-    return value
+    level = m_sum_vector(kernel.row(n, a), t)
+    if n <= _PLAN_N_MAX:
+        return sum(map(mul, _lift_plan(n)[j], level))
+    return _lift_at(level, n, j)
 
 
-# -------------------------------------------------------- transplant plan
-
-
-def _transplant_offset(n: int, a: int, j: int) -> tuple[int, ...]:
-    """The offset-j transplant's coefficients of G's level-0 offsets j+u,
-    u = 0..min(a, n//2 - j): binomial(a+j, a) binomial(n-j+l, l)
-    binomial(n-j, a-l) at l = a-u."""
+@lru_cache(maxsize=1024)
+def _transplant_weights(n: int, j: int, a: int) -> tuple[int, ...]:
+    """The coefficients of G's level-0 offsets j+u, u = 0..min(a, n//2 - j),
+    in the offset-j transplant (2j <= n): binomial(a+j, a) binomial(n-j+l, l)
+    binomial(n-j, a-l) at l = a-u. A thm2 sweep reads each (n, j, a) once per
+    random kernel; an entry holds at most a+1 integers."""
     lead = comb(a + j, a)
     top = min(a, n // 2 - j)
     return tuple([lead * comb(n - j + a - u, a - u) * comb(n - j, u) for u in range(top + 1)])
 
 
-@lru_cache(maxsize=256)
-def _transplant_weights(n: int, a: int) -> tuple[tuple[int, ...], ...]:
-    """The transplant coefficients of every offset j = 0..n//2 at (n, a). A
-    thm2 sweep reads each (n, a) once per random kernel; an offset holds at
-    most a+1 integers."""
-    return tuple([_transplant_offset(n, a, j) for j in range(n // 2 + 1)])
+@lru_cache(maxsize=(_PLAN_N_MAX + 1) * (_PLAN_T_MAX + 1))
+def _transplant_plan(n: int, a: int) -> tuple[tuple[int, ...], ...]:
+    """The transplant coefficients of G's level-0 offsets i = 0..n//2 in
+    the offsets j = 0..n//2 (the offsets past n//2 are 0)."""
+    return tuple([(0,) * j + _transplant_weights(n, j, a) for j in range(n // 2 + 1)])
 
 
-def _transplant_coeffs(n: int, a: int, lo: int, hi: int) -> Iterable[tuple[int, ...]]:
-    if n <= _PLAN_CUTOFF:
-        return _transplant_weights(n, a)[lo:hi]
-    return map(_transplant_offset, repeat(n), repeat(a), range(lo, hi))
+def _transplant_at(tail: Sequence[int], n: int, j: int, a: int) -> int:
+    """The offset-j transplant (2j <= n) from G's level-0 M-sums at offsets
+    j, j+1, ... (`tail`, at least min(a, n//2 - j) + 1 of them)."""
+    return sum(map(mul, _transplant_weights(n, j, a), tail))
 
 
 def theorem2_transform_vector(level0: Sequence[int], n: int, a: int) -> tuple[int, ...]:
@@ -235,10 +225,13 @@ def theorem2_transform_vector(level0: Sequence[int], n: int, a: int) -> tuple[in
     level-0 M-sums `level0` (offsets 0..n//2) of G at (n, a). Offsets past
     n/2 are 0."""
     if min(n, a) < 0:
-        _refuse_negative(n=n, a=a)
+        _check_args(n=n, a=a)
     _check_level(level0, n)
     half = n // 2
-    moved = _apply(_transplant_coeffs(n, a, 0, half + 1), level0)
+    if n <= _PLAN_N_MAX and a <= _PLAN_T_MAX:
+        moved = [sum(map(mul, coeffs, level0)) for coeffs in _transplant_plan(n, a)]
+    else:
+        moved = [_transplant_at(level0[j : j + a + 1], n, j, a) for j in range(half + 1)]
     return tuple(moved + [0] * (n - half))
 
 
@@ -256,13 +249,12 @@ def theorem2_transform(g_kernel: Kernel, n: int, j: int, a: int) -> int:
     yield 0 without reading G: every M-sum of G the sum needs sits at an
     offset >= j, where it vanishes.
     """
-    if min(n, j, a) < 0:
-        _refuse_negative(n=n, j=j, a=a)
+    _check_args(n=n, j=j, a=a)
     if 2 * j > n:
         return 0
-    tail = _apply(_m_coeffs(n, 0, j, min(j + a, n // 2) + 1), g_kernel.row(n, a), j)
-    (value,) = _apply(_transplant_coeffs(n, a, j, j + 1), tail)
-    return value
+    row = g_kernel.row(n, a)
+    tail = [_m_sum_at(row, n, i) for i in range(j, min(j + a, n // 2) + 1)]
+    return _transplant_at(tail, n, j, a)
 
 
 def gessel_convolution(n: int, m: int, r: int) -> int:

@@ -98,16 +98,19 @@ def test_paired_runs_summary_reads_each_metric_in_its_direction():
     # the change's 0.8 0.9 0.95 1.0 1.15: median 0.95, quartiles 0.9 and 1.0
     assert wall == (
         "wall_s (s, lower is better): parent 1.1 [1, 1.2]  change 0.95 [0.9, 1]  "
-        "-13.6%  wins 4/5  beyond parent IQR: no"
+        "-13.6%  wins 4/5  better beyond parent IQR: no"
     )
     # parent rates 9 10 10 11 12, the change's 10 10 11 12 13
     assert rate == (
         "cases_per_s (1/s, higher is better): parent 10 [10, 11]  change 11 [10, 12]  "
-        "+10.0%  wins 4/5  beyond parent IQR: no"
+        "+10.0%  wins 4/5  better beyond parent IQR: no"
     )
+    # a change worse by more than the parent's quartile distance is not beyond it
+    (worse,) = script.summarize([(b, a) for a, b in pairs], end_to_end[:1])
+    assert worse.endswith("+15.8%  wins 1/5  better beyond parent IQR: no")
     # one pair is its own median and quartiles
     (single,) = script.summarize(pairs[:1], end_to_end[:1])
-    assert "parent 1 [1, 1]  change 0.9 [0.9, 0.9]  -10.0%  wins 1/1  beyond parent IQR: yes" in single
+    assert "parent 1 [1, 1]  change 0.9 [0.9, 0.9]  -10.0%  wins 1/1  better beyond parent IQR: yes" in single
 
 
 def test_paired_runs_refuses_a_directory_without_the_benchmark(capsys, tmp_path):

@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 import random
 import sys
-from operator import mul
 
 import pytest
 from hypothesis import example, given, settings
@@ -663,23 +662,15 @@ def test_scalar_transplant_is_the_vector_entry():
 
 def test_scalar_transplant_reads_only_the_offsets_it_needs(monkeypatch):
     # offset j reads G's level-0 M-sums at j..min(j+a, n/2): a+1 of them at
-    # most, not the whole vector. The wrapper records the offsets whose
-    # level-0 coefficients are handed out, from a memoised plan (n <= 64)
-    # or built one offset at a time (n > 64).
+    # most, not the whole vector
     calls = []
-    real = sums._m_coeffs
-
-    def recording(n, t, lo, hi):
-        coeffs = list(real(n, t, lo, hi))
-        calls.extend((t, i) for i in range(lo, lo + len(coeffs)))
-        return coeffs
-
-    monkeypatch.setattr(sums, "_m_coeffs", recording)
+    real = sums._m_sum_at
+    monkeypatch.setattr(sums, "_m_sum_at", lambda w, n, i: calls.append(i) or real(w, n, i))
     g = central_kernel()
-    for n, j, a in ((60, 3, 2), (60, 29, 4), (61, 0, 0), (9, 1, 6), (101, 40, 3), (130, 64, 5)):
+    for n, j, a in ((60, 3, 2), (60, 29, 4), (61, 0, 0), (9, 1, 6)):
         calls.clear()
         theorem2_transform(g, n, j, a)
-        assert calls == [(0, i) for i in range(j, min(j + a, n // 2) + 1)]
+        assert calls == list(range(j, min(j + a, n // 2) + 1))
 
 
 # ----------------------------------------------------------- coefficient tables
@@ -740,122 +731,113 @@ def test_tables_match_comb_references(row, a, t):
     assert moved == _comb_level(dressed, 0) + (0,) * (n - n // 2)
 
 
+def _plan(cache, *args):
+    """The plan at args, built without entering the cache."""
+    return cache.__wrapped__(*args)
+
+
+def _comb0(n, k):
+    """math.comb, 0 below k = 0: a plan's zeros below its diagonal."""
+    return math.comb(n, k) if k >= 0 else 0
+
+
 def test_plan_coefficients_match_comb():
-    # every coefficient of the three plans against its math.comb formula
+    # every coefficient of the three plans against its math.comb formula,
+    # in the plan box and well past it
     for n in range(41):
+        half = n // 2
         for t in range(5):
-            plan = sums._m_plan(n, t)
-            assert len(plan) == n // 2 + 1
-            for j, coeffs in enumerate(plan):
-                assert coeffs == tuple(
-                    math.comb(n - j, j) * math.comb(n - 2 * j, i) * math.comb(n, j + i) ** t
-                    for i in range(n - 2 * j + 1)
+            assert _plan(sums._m_plan, n, t) == tuple(
+                tuple(
+                    math.comb(n - j, j) * _comb0(n - 2 * j, k - j) * math.comb(n, k) ** t
+                    for k in range(n - j + 1)
                 )
-        lift = sums._lift_plan(n)
-        assert lift == tuple(
-            tuple(math.comb(n, j) * math.comb(n - j, u) for u in range(n // 2 - j + 1))
-            for j in range(n // 2 + 1)
+                for j in range(half + 1)
+            )
+        assert _plan(sums._lift_plan, n) == tuple(
+            tuple(math.comb(n, j) * _comb0(n - j, i - j) for i in range(half + 1))
+            for j in range(half + 1)
         )
         for a in range(7):
-            assert sums._transplant_weights(n, a) == tuple(
+            # offset i = j + u holds binomial(a+j, a) binomial(n-j+l, l)
+            # binomial(n-j, a-l) at l = a - u
+            assert _plan(sums._transplant_plan, n, a) == tuple(
                 tuple(
-                    math.comb(a + j, a) * math.comb(n - j + a - u, a - u) * math.comb(n - j, u)
-                    for u in range(min(a, n // 2 - j) + 1)
+                    math.comb(a + j, a) * math.comb(n - i + a, a - i + j) * _comb0(n - j, i - j)
+                    for i in range(min(j + a, half) + 1)
                 )
-                for j in range(n // 2 + 1)
+                for j in range(half + 1)
             )
 
 
-# The per-offset code the vector forms used before the plans, kept as the
-# reference: it rebuilds every offset's weights on each call.
-
-
-def _offset_weigh(row, t):
-    if t == 0:
-        return row
-    return [c**t * f for c, f in zip(sums._pascal(len(row) - 1), row)]
-
-
-def _offset_m_sum(weighted, n, j):
-    inner = sum(map(mul, sums._pascal(n - 2 * j), weighted[j : n - j + 1]))
-    return math.comb(n - j, j) * inner
-
-
-def _offset_m_sum_vector(row, t):
-    n = len(row) - 1
-    weighted = _offset_weigh(row, t)
-    return tuple(_offset_m_sum(weighted, n, j) for j in range(n // 2 + 1))
-
-
-def _offset_lift_vector(level, n):
-    return tuple(
-        math.comb(n, j) * sum(map(mul, sums._pascal(n - j), level[j:]))
-        for j in range(n // 2 + 1)
-    )
-
-
-def _offset_transplant_vector(level0, n, a):
-    half = n // 2
-    moved = []
-    for j in range(half + 1):
-        lead = math.comb(a + j, a)
-        top = min(a, half - j)
-        weights = [lead * math.comb(n - j + a - u, a - u) * math.comb(n - j, u) for u in range(top + 1)]
-        moved.append(sum(map(mul, weights, level0[j : j + a + 1])))
-    return tuple(moved + [0] * (n - half))
-
-
-@pytest.mark.parametrize(
-    "n", [sums._PLAN_CUTOFF - 1, sums._PLAN_CUTOFF, sums._PLAN_CUTOFF + 1, 200]
-)
-def test_vector_forms_match_the_per_offset_code(n):
+@pytest.mark.parametrize("n", range(sums._PLAN_N_MAX + 2))
+def test_plans_match_the_per_offset_code(n):
+    # inside the box the vector and scalar forms read plans; the per-offset
+    # code they use outside it is the reference. n = _PLAN_N_MAX + 1, t = 4
+    # and a = 4 lie just past the box, where both sides are that code.
     rng = random.Random(n)
     rows = (gessel_kernel(3).row(n, 2), tuple(rng.randint(-(10**9), 10**9) for _ in range(n + 1)))
+    half = n // 2
     for row in rows:
-        # t = 3 and 4 straddle the plan's level bound at n = 64
-        for t in (0, 1, 3, 4):
+        kern = custom_kernel({(n, k, 0): v for k, v in enumerate(row)})
+        for t in range(sums._PLAN_T_MAX + 2):
+            weighted = sums._weigh(row, t)
             level = m_sum_vector(row, t)
-            assert level == _offset_m_sum_vector(row, t)
-            assert m_sum_lift_vector(level, n) == _offset_lift_vector(level, n)
+            assert level == tuple(sums._m_sum_at(weighted, n, j) for j in range(half + 1))
+            assert [m_sum(kern, n, j, t) for j in range(half + 1)] == list(level)
+            lifted = tuple(sums._lift_at(level, n, j) for j in range(half + 1))
+            assert m_sum_lift_vector(level, n) == lifted
+            assert [m_sum_lift(kern, n, j, t) for j in range(half + 1)] == list(lifted)
         level0 = m_sum_vector(row, 0)
-        for a in (0, 2, 5):
-            assert theorem2_transform_vector(level0, n, a) == _offset_transplant_vector(level0, n, a)
+        for a in range(sums._PLAN_T_MAX + 2):
+            moved = [sums._transplant_at(level0[j : j + a + 1], n, j, a) for j in range(half + 1)]
+            assert theorem2_transform_vector(level0, n, a) == tuple(moved + [0] * (n - half))
 
 
-def test_vector_forms_at_n_300_keep_no_plan():
-    plans = (sums._m_plan, sums._lift_plan, sums._transplant_weights)
+def test_calls_outside_the_plan_box_keep_no_plan():
+    plans = (sums._m_plan, sums._lift_plan, sums._transplant_plan)
+    big = central_kernel().row(300, 0)
+    edge = central_kernel().row(sums._PLAN_N_MAX, 0)
+    edge_level0 = m_sum_vector(edge, 0)  # inside the box: may build a plan
     before = [cache.cache_info() for cache in plans]
-    row = central_kernel().row(300, 0)
-    level = m_sum_vector(row, 1)
-    m_sum_lift_vector(level, 300)
-    theorem2_transform_vector(m_sum_vector(row, 0), 300, 3)
+    # n past the box
+    m_sum_lift_vector(m_sum_vector(big, 1), 300)
+    theorem2_transform_vector(m_sum_vector(big, 0), 300, 3)
+    # t and a past the box at its largest n
+    m_sum_vector(edge, sums._PLAN_T_MAX + 1)
+    theorem2_transform_vector(edge_level0, sums._PLAN_N_MAX, sums._PLAN_T_MAX + 1)
     assert [cache.cache_info() for cache in plans] == before
 
 
-def test_plan_caches_stay_small_after_the_default_sweep(monkeypatch):
-    # the suites that read plans, at their default boxes; every plan they
-    # leave cached is sized, its integers included (about 0.04 MB)
-    keys = {}
-    for name in ("_m_plan", "_lift_plan", "_transplant_weights"):
-        real = getattr(sums, name)
-        real.cache_clear()
-        keys[real] = set()
-
-        def recording(*args, real=real):
-            keys[real].add(args)
-            return real(*args)
-
-        monkeypatch.setattr(sums, name, recording)
+def test_plan_caches_stay_small_after_the_default_sweep():
+    # the suites that read plans, at their default boxes, from empty caches;
+    # the plans left behind are sized object by object, each shared small
+    # integer once (about 65 KB)
+    plans = (sums._m_plan, sums._lift_plan, sums._transplant_plan)
+    for cache in plans:
+        cache.cache_clear()
     for suite in ("closed-forms", "eq7", "eq8", "thm2"):
         assert run_suite(suite).passed
-    held = 0
-    for real, seen in keys.items():
-        assert real.cache_info().currsize == len(seen) > 0
-        for args in seen:
-            plan = real(*args)
-            held += sys.getsizeof(plan)
-            held += sum(sys.getsizeof(c) + sum(map(sys.getsizeof, c)) for c in plan)
-    assert held <= 100_000
+    held = {}
+
+    def hold(obj):
+        held[id(obj)] = sys.getsizeof(obj)
+
+    ns, ts = range(sums._PLAN_N_MAX + 1), range(sums._PLAN_T_MAX + 1)
+    pairs = [(n, t) for n in ns for t in ts]
+    for cache, box in zip(plans, (pairs, [(n,) for n in ns], pairs)):
+        assert cache.cache_info().currsize > 0
+        for args in box:
+            misses = cache.cache_info().misses
+            plan = cache(*args)
+            if cache.cache_info().misses > misses:
+                continue  # not left by the sweep
+            hold(plan)
+            for coeffs in plan:
+                hold(coeffs)
+                for c in coeffs:
+                    hold(c)
+    assert sum(held.values()) <= 100_000
 
 
 def test_binomial_pair_row_validation():
@@ -866,9 +848,10 @@ def test_binomial_pair_row_validation():
 
 
 def test_coefficient_caches_are_bounded(capsys):
-    plans = (sums._m_plan, sums._lift_plan, sums._transplant_weights)
+    plans = (sums._m_plan, sums._lift_plan, sums._transplant_plan)
+    new_caches = (kernels._pair_weights, sums._transplant_weights)
     rows = kernels._builtin_row
-    for cache in (*plans, kernels._pair_weights, rows, sums._pascal, catalan, super_catalan, gessel):
+    for cache in (*plans, *new_caches, rows, sums._pascal, catalan, super_catalan, gessel):
         assert cache.cache_info().maxsize is not None
     # a table sweep over more (n, r) pairs than the cache holds stays bounded
     assert cli_main(["table", "gessel", "--n-max", "1500", "--r-max", "3"]) == 0
@@ -880,14 +863,15 @@ def test_coefficient_caches_are_bounded(capsys):
     assert capsys.readouterr().out.count("\n") == 1 + 41 * 3
     assert rows.cache_info().misses - misses >= 41 * 3 > rows.cache_info().maxsize
     assert rows.cache_info().currsize <= rows.cache_info().maxsize
-    # a scalar M-sum at a large n adds no plan and no pair weights, and only
-    # the two O(n) Pascal rows it reads (n for the weights, n - 2j for the
-    # offset's coefficients) to the Pascal cache; never an O(n^2) table
-    watched = (*plans, kernels._pair_weights, sums._pascal)
+    # a scalar M-sum at a large n adds no plan, at most one entry to either
+    # new cache, and only the two O(n) Pascal rows it reads (n for the
+    # weights, n - 2j for the inner sum) to the older one; never an O(n^2)
+    # table
+    watched = (*plans, *new_caches, sums._pascal)
     before = [cache.cache_info().misses for cache in watched]
     m_sum(central_kernel(), 1500, 3, 1)
     after = [cache.cache_info().misses for cache in watched]
     added = [b - a for a, b in zip(before, after)]
     assert added[:3] == [0, 0, 0]
-    assert added[3] <= 1
-    assert added[4] <= 2
+    assert added[3] <= 1 and added[4] <= 1
+    assert added[5] <= 2

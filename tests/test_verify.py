@@ -424,7 +424,7 @@ def test_a_wrong_lift_plan_coefficient_fails_eq8(monkeypatch):
 
 def test_a_wrong_transplant_plan_coefficient_fails_thm2(monkeypatch):
     monkeypatch.setattr(
-        sums, "_transplant_weights", _corrupt_plan(sums._transplant_weights, (4, 1), 0, 1)
+        sums, "_transplant_plan", _corrupt_plan(sums._transplant_plan, (4, 1), 0, 1)
     )
     assert not run_suite("thm2", _SIDES).passed
 
