@@ -40,7 +40,9 @@ product with the row or vector it reads:
 
 with zeros below the diagonal (k < j, i < j). A default `verify all` leaves
 about 0.07 MB of plans. Outside the box the recurrences weigh the row once
-per call and evaluate offset by offset from O(n) rows, keeping no plan.
+per call and evaluate offset by offset from O(n) rows, keeping no plan; from
+n = 128 up the vector forms walk those rows inside the call by the Pascal
+rule, since more rows than the row cache holds would evict each other.
 `direct_sum` keeps its own binomial(n, k)^m weights, apart from the plans,
 so eq7 compares two separately built sums.
 
@@ -52,7 +54,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from math import comb
-from operator import mul
+from operator import add, mul
 from typing import Sequence
 
 from .kernels import (
@@ -73,7 +75,18 @@ def _check_args(**named: int) -> None:
             raise ValueError(f"{name} must be non-negative, got {value}")
 
 
-@lru_cache(maxsize=64)
+# While one call's n//2 + 1 Pascal rows fit in `_pascal`, the vector forms
+# read them there: a sweep repeats the same scan, and a repeated scan of at
+# most _PASCAL_ROWS rows finds every one. A longer scan would evict each row
+# before its next read (at n = 200 a repeated call missed about 100 times),
+# so from n//2 = _PASCAL_ROWS up they walk the rows inside the call by the
+# Pascal rule instead. Walking below that was slower: on eq8's pattern at
+# n = 92..100 (three kernels, levels 0..3 and their lifts) 92 ms against
+# 72 ms read from the cache.
+_PASCAL_ROWS = 64
+
+
+@lru_cache(maxsize=_PASCAL_ROWS)
 def _pascal(n: int) -> tuple[int, ...]:
     """binomial(n, k) for k = 0..n, walked by the exact step (n-k)/(k+1). A
     sweep reads the same few small rows tens of thousands of times; the bound
@@ -124,6 +137,20 @@ def _m_sum_at(weighted: Sequence[int], n: int, j: int) -> int:
     return comb(n - j, j) * inner
 
 
+def _m_sums_walked(weighted: Sequence[int], n: int) -> tuple[int, ...]:
+    """The M-sums at offsets j = 0..n//2 from the weighted row, innermost
+    offset first, each Pascal row walked from the one before: offset j reads
+    binomial(n-2j, .), two steps of the Pascal rule up from offset j+1's."""
+    out = []
+    pascal = [1] * (n % 2 + 1)
+    for j in range(n // 2, -1, -1):
+        out.append(comb(n - j, j) * sum(map(mul, pascal, weighted[j : n - j + 1])))
+        if j:
+            pascal = [1, *map(add, pascal, pascal[1:]), 1]
+            pascal = [1, *map(add, pascal, pascal[1:]), 1]
+    return tuple(reversed(out))
+
+
 def m_sum_vector(row: Sequence[int], t: int) -> tuple[int, ...]:
     """The level-t M-sums at every offset j = 0..n//2 of the kernel row
     F(n, 0..n, a), where n = len(row) - 1."""
@@ -135,7 +162,9 @@ def m_sum_vector(row: Sequence[int], t: int) -> tuple[int, ...]:
     if n <= _PLAN_N_MAX and t <= _PLAN_T_MAX:
         return tuple([sum(map(mul, coeffs, row)) for coeffs in _m_plan(n, t)])
     weighted = _weigh(row, t)
-    return tuple([_m_sum_at(weighted, n, j) for j in range(n // 2 + 1)])
+    if n // 2 < _PASCAL_ROWS:
+        return tuple([_m_sum_at(weighted, n, j) for j in range(n // 2 + 1)])
+    return _m_sums_walked(weighted, n)
 
 
 def m_sum(kernel: Kernel, n: int, j: int, t: int, a: int = 0) -> int:
@@ -172,6 +201,21 @@ def _lift_at(level: Sequence[int], n: int, j: int) -> int:
     return comb(n, j) * sum(map(mul, _pascal(n - j), level[j:]))
 
 
+def _lifts_walked(level: Sequence[int], n: int) -> tuple[int, ...]:
+    """The lifts at offsets j = 0..n//2, innermost offset first, as in
+    `_m_sums_walked`: offset j reads binomial(n-j, u) for u <= n//2 - j only,
+    so each row is kept to its first n//2 + 1 entries, which one step of the
+    Pascal rule turns into the next row's."""
+    half = n // 2
+    out = []
+    prefix = _pascal(n - half)[: half + 1]
+    for j in range(half, -1, -1):
+        out.append(comb(n, j) * sum(map(mul, prefix, level[j:])))
+        if j:
+            prefix = [1, *map(add, prefix, prefix[1:])]
+    return tuple(reversed(out))
+
+
 def m_sum_lift_vector(level: Sequence[int], n: int) -> tuple[int, ...]:
     """The level-raise recurrence: the level-(t+1) M-sums at offsets
     j = 0..n//2, from the level-t M-sums `level` at the same offsets. Offset
@@ -181,7 +225,9 @@ def m_sum_lift_vector(level: Sequence[int], n: int) -> tuple[int, ...]:
     _check_level(level, n)
     if n <= _PLAN_N_MAX:
         return tuple([sum(map(mul, coeffs, level)) for coeffs in _lift_plan(n)])
-    return tuple([_lift_at(level, n, j) for j in range(n // 2 + 1)])
+    if n // 2 < _PASCAL_ROWS:
+        return tuple([_lift_at(level, n, j) for j in range(n // 2 + 1)])
+    return _lifts_walked(level, n)
 
 
 def m_sum_lift(kernel: Kernel, n: int, j: int, t: int, a: int = 0) -> int:
@@ -200,8 +246,11 @@ def m_sum_lift(kernel: Kernel, n: int, j: int, t: int, a: int = 0) -> int:
 def _transplant_weights(n: int, j: int, a: int) -> tuple[int, ...]:
     """The coefficients of G's level-0 offsets j+u, u = 0..min(a, n//2 - j),
     in the offset-j transplant (2j <= n): binomial(a+j, a) binomial(n-j+l, l)
-    binomial(n-j, a-l) at l = a-u. A thm2 sweep reads each (n, j, a) once per
-    random kernel; an entry holds at most a+1 integers."""
+    binomial(n-j, a-l) at l = a-u; an entry holds at most a+1 integers.
+    Inside the plan box only a plan's build reads it, once per (n, j, a), so
+    neither benchmark workload hits it. Outside the box each of thm2's random
+    kernels reads every (n, j, a) again: in-process, `verify thm2 --n-max 24`
+    took 0.136 s with this cache and 0.167 s without it."""
     lead = comb(a + j, a)
     top = min(a, n // 2 - j)
     return tuple([lead * comb(n - j + a - u, a - u) * comb(n - j, u) for u in range(top + 1)])

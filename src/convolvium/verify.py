@@ -24,6 +24,7 @@ and 600000 ms otherwise.
 from __future__ import annotations
 
 import io
+import marshal
 import math
 import os
 import random
@@ -796,40 +797,143 @@ def run_suite(
     )
 
 
+def _run_or_abort(
+    name: str, sweep: SweepRange, bump: Kernel | None, budget: float
+) -> VerificationReport:
+    """run_suite, with a suite that raises (over budget, or a genuine bug)
+    converted into a failing report rather than aborting the batch."""
+    try:
+        return run_suite(name, sweep, bump=bump, budget_ms=budget)
+    except Exception as exc:
+        ctx = _SuiteCtx({}, DEFAULT_SEED, None)
+        ctx.violate({}, "suite completes", f"{type(exc).__name__}: {exc}")
+        return VerificationReport(
+            suite=name,
+            claim=_REGISTRY[name].claim,
+            range={},
+            cases_checked=0,
+            violations=ctx.violations,
+            elapsed_ms=0.0,
+            notes=[f"suite aborted: {type(exc).__name__}"],
+        )
+
+
+def _shares(sweep: SweepRange) -> tuple[list[str], list[str]]:
+    """Every suite, split between two processes: longest budget estimate
+    first, each to the side with the smaller estimated total (ties to the
+    first side). A pure function of the registry and the resolved box."""
+
+    def estimate(name: str) -> float:
+        spec = _REGISTRY[name]
+        try:
+            return spec.estimator(_resolve_params(spec, sweep)[0])
+        except Exception:  # the suite raises again when it runs, and aborts
+            return 0.0
+
+    est = {name: estimate(name) for name in _REGISTRY}
+    sides: tuple[list[str], list[str]] = ([], [])
+    totals = [0.0, 0.0]
+    for name in sorted(est, key=est.__getitem__, reverse=True):  # stable: ties keep registry order
+        side = 0 if totals[0] <= totals[1] else 1
+        sides[side].append(name)
+        totals[side] += est[name]
+    return sides
+
+
+def _cpus() -> int:
+    """The CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _can_fork() -> bool:
+    """A fork may split the suites: it exists, a second CPU is there to run
+    the child, and no other thread is running, whose locks the child would
+    inherit held."""
+    import threading
+
+    return hasattr(os, "fork") and _cpus() >= 2 and threading.active_count() == 1
+
+
+def _load_reports(data: bytes, names: list[str]) -> list[VerificationReport] | None:
+    """The reports a child sent for `names`, or None if they cannot be read."""
+    try:
+        reports = [VerificationReport(*fields) for fields in marshal.loads(data)]
+    except (EOFError, ValueError, TypeError):
+        return None
+    return reports if [r.suite for r in reports] == names else None
+
+
+def _run_forked(
+    mine: list[str], theirs: list[str], sweep: SweepRange, bump: Kernel | None, budget: float
+) -> list[VerificationReport]:
+    """Run `theirs` in a forked child while this process runs `mine`. The
+    child sends its reports back over a pipe as marshalled tuples (marshal
+    is loaded with the interpreter; `pickle` would cost an import of about
+    3.6 ms) and leaves by `os._exit`, so it flushes and runs nothing of the
+    parent's. If it dies or its reports cannot be read, this process runs
+    `theirs` itself."""
+    read_fd, write_fd = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        code = 1
+        try:
+            os.close(read_fd)
+            sent = [tuple(_run_or_abort(name, sweep, bump, budget)) for name in theirs]
+            with open(write_fd, "wb") as out:
+                out.write(marshal.dumps(sent))
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(write_fd)
+    data = None
+    with open(read_fd, "rb") as src:
+        try:
+            reports = [_run_or_abort(name, sweep, bump, budget) for name in mine]
+            data = src.read()
+        finally:
+            if data is None:  # this process is leaving early: stop the child
+                import signal
+
+                os.kill(pid, signal.SIGKILL)
+            status = os.waitpid(pid, 0)[1]
+    sent = _load_reports(data, theirs) if os.waitstatus_to_exitcode(status) == 0 else None
+    if sent is None:
+        sent = [_run_or_abort(name, sweep, bump, budget) for name in theirs]
+    return reports + sent
+
+
 def run_all(
     sweep: SweepRange | None = None,
     *,
     bump: Kernel | None = None,
     budget_ms: float | None = None,
 ) -> list[VerificationReport]:
-    """Run every registered suite, in registry order.
+    """Run every registered suite and return the reports in registry order.
 
     The bump and the budget are checked once, before any suite runs, so a
     custom or unbumped `bump` or a malformed CONVOLVIUM_BUDGET_MS raises
     ValueError (a usage error) instead of becoming one failing report per
     suite. A suite that raises (over budget, or a genuine bug) is converted
     into a failing report rather than aborting the batch.
+
+    Where the process can fork, may run on two or more CPUs and runs no
+    other thread, the suites run in two processes: a forked child runs one
+    share (`_shares`) and sends its reports back, this process runs the
+    other, and the child is reaped before this returns. Every report is the
+    one a serial run gives; only `elapsed_ms` differs, as each suite's wall
+    time is taken while the other share runs. Otherwise the suites run one
+    after another here.
     """
     _check_bump(bump)
     budget = _resolve_budget(budget_ms)
-    reports = []
-    for name, spec in _REGISTRY.items():
-        try:
-            report = run_suite(name, sweep, bump=bump, budget_ms=budget)
-        except Exception as exc:
-            ctx = _SuiteCtx({}, DEFAULT_SEED, None)
-            ctx.violate({}, "suite completes", f"{type(exc).__name__}: {exc}")
-            report = VerificationReport(
-                suite=name,
-                claim=spec.claim,
-                range={},
-                cases_checked=0,
-                violations=ctx.violations,
-                elapsed_ms=0.0,
-                notes=[f"suite aborted: {type(exc).__name__}"],
-            )
-        reports.append(report)
-    return reports
+    sweep = sweep if sweep is not None else SweepRange()
+    if not _can_fork():
+        return [_run_or_abort(name, sweep, bump, budget) for name in _REGISTRY]
+    by_name = {r.suite: r for r in _run_forked(*_shares(sweep), sweep, bump, budget)}
+    return [by_name[name] for name in _REGISTRY]
 
 
 def reports_to_json(reports: list[VerificationReport], *, include_timings: bool = False) -> str:

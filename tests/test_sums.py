@@ -809,6 +809,36 @@ def test_calls_outside_the_plan_box_keep_no_plan():
     assert [cache.cache_info() for cache in plans] == before
 
 
+@pytest.mark.parametrize("n", [13, 14, 65, 2 * sums._PASCAL_ROWS - 1, 2 * sums._PASCAL_ROWS, 200])
+def test_walked_pascal_rows_match_the_per_offset_code(n):
+    # from n//2 = _PASCAL_ROWS up the vector forms walk their Pascal rows
+    # inside the call; the per-offset code, which reads each row from
+    # `_pascal`, is the reference for the walk at every n
+    rng = random.Random(n)
+    rows = (gessel_kernel(3).row(n, 2), tuple(rng.randint(-(10**9), 10**9) for _ in range(n + 1)))
+    half = n // 2
+    for row in rows:
+        for t in (0, 1, sums._PLAN_T_MAX + 1):
+            weighted = sums._weigh(row, t)
+            level = tuple(sums._m_sum_at(weighted, n, j) for j in range(half + 1))
+            assert sums._m_sums_walked(weighted, n) == level == m_sum_vector(row, t)
+            lifted = tuple(sums._lift_at(level, n, j) for j in range(half + 1))
+            assert sums._lifts_walked(level, n) == lifted == m_sum_lift_vector(level, n)
+
+
+@pytest.mark.parametrize("n", [2 * sums._PASCAL_ROWS - 1, 200])
+def test_a_repeated_wide_call_rebuilds_no_pascal_row(n):
+    # at n = 200 the per-offset code read 101 distinct Pascal rows per call
+    # through the 64-row cache, so a repeated call missed about 100 times
+    row = central_kernel().row(n, 0)
+    level = m_sum_vector(row, 1)
+    for call in (lambda: m_sum_vector(row, 1), lambda: m_sum_lift_vector(level, n)):
+        call()
+        misses = sums._pascal.cache_info().misses
+        call()
+        assert sums._pascal.cache_info().misses - misses <= 1
+
+
 def test_plan_caches_stay_small_after_the_default_sweep():
     # the suites that read plans, at their default boxes, from empty caches;
     # the plans left behind are sized object by object, each shared small

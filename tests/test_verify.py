@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import marshal
 import math
 import os
 import subprocess
@@ -47,6 +48,15 @@ from convolvium.verify import (
 )
 
 _TRIM = SweepRange(n_max=4, m_max=2, r_max=2, a_max=2)
+
+
+@pytest.fixture(autouse=True)
+def _no_child_left():
+    # run_all may fork; whatever a test runs, it must reap every child it
+    # started, so none is left running and none is left a zombie
+    yield
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_registry_has_all_seventeen_suites():
@@ -505,6 +515,92 @@ def test_run_all_rejects_a_malformed_budget(monkeypatch):
     monkeypatch.setenv("CONVOLVIUM_BUDGET_MS", "abc")
     with pytest.raises(ValueError, match="CONVOLVIUM_BUDGET_MS"):
         run_all(_TRIM)
+
+
+# --------------------------------------------------------------- two processes
+#
+# Where it can fork onto a second CPU, run_all runs one share of the suites in
+# a child. Patching the CPU count picks the path; both must give the same bytes.
+
+
+def _on_cpus(monkeypatch, cpus, sweep=None, **kwargs):
+    """reports_to_json(run_all(...)) with `cpus` CPUs, and the forks it made."""
+    forks = []
+    real_fork = os.fork
+
+    def fork():
+        forks.append(os.getpid())
+        return real_fork()
+
+    with monkeypatch.context() as patch:
+        patch.setattr(verify, "_cpus", lambda: cpus)
+        patch.setattr(os, "fork", fork)
+        text = reports_to_json(run_all(sweep, **kwargs))
+    return text, len(forks)
+
+
+@pytest.mark.parametrize(
+    "sweep, kwargs",
+    [
+        (_TRIM, {}),
+        (None, {}),
+        (None, {"budget_ms": 0}),
+        (None, {"bump": with_bump(Kernel(KernelFamily.GESSEL, order=2), (6, 1, 1), 1)}),
+        # a box no estimate can read: the split still runs, and every suite
+        # that reads n_max aborts on both paths
+        (SweepRange(n_max="4"), {}),
+    ],
+    ids=["trim", "default", "no-budget", "bump", "malformed-box"],
+)
+def test_forked_and_serial_runs_give_the_same_bytes(monkeypatch, sweep, kwargs):
+    monkeypatch.delenv("CONVOLVIUM_BUDGET_MS", raising=False)
+    serial, serial_forks = _on_cpus(monkeypatch, 1, sweep, **kwargs)
+    forked, forks = _on_cpus(monkeypatch, 2, sweep, **kwargs)
+    assert (serial_forks, forks) == (0, 1)
+    assert forked == serial
+    payload = json.loads(forked)
+    assert [s["suite"] for s in payload["suites"]] == list(suite_names())
+    if "budget_ms" in kwargs:
+        assert all(s["notes"] == ["suite aborted: RangeTooLarge"] for s in payload["suites"])
+    if "bump" in kwargs:
+        assert hashlib.sha256(forked.encode()).hexdigest() == _GOLDEN_FAILING_RUN_SHA256
+
+
+def test_the_split_is_a_pure_function_of_the_box():
+    for sweep in (_TRIM, SweepRange(), SweepRange(n_max=30, seed=7)):
+        mine, theirs = verify._shares(sweep)
+        assert (mine, theirs) == verify._shares(sweep)
+        assert sorted(mine + theirs) == sorted(suite_names())
+        assert mine and theirs
+    # the seed only moves the fuzz, never the estimates
+    assert verify._shares(SweepRange(seed=1)) == verify._shares(SweepRange(seed=2))
+
+
+def test_a_dead_child_leaves_its_suites_to_the_parent(monkeypatch):
+    serial, _ = _on_cpus(monkeypatch, 1, _TRIM)
+    parent = os.getpid()
+    for name in verify._shares(_TRIM)[1][:2]:
+        spec = verify._REGISTRY[name]
+
+        def runner(ctx, real=spec.runner):
+            if os.getpid() != parent:
+                os._exit(3)
+            real(ctx)
+
+        monkeypatch.setitem(verify._REGISTRY, name, spec._replace(runner=runner))
+    forked, forks = _on_cpus(monkeypatch, 2, _TRIM)
+    assert forks == 1
+    assert forked == serial
+
+
+def test_an_unreadable_child_result_is_refused():
+    names = ["remark1", "eq14"]
+    reports = [run_suite(name, _TRIM) for name in names]
+    sent = marshal.dumps([tuple(r) for r in reports])
+    assert verify._load_reports(sent, names) == reports
+    for data in (b"", sent[:-5], marshal.dumps(7), marshal.dumps([(1, 2)])):
+        assert verify._load_reports(data, names) is None
+    assert verify._load_reports(sent, names[::-1]) is None
 
 
 # ----------------------------------------------------------------- serializers
