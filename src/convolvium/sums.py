@@ -40,9 +40,10 @@ product with the row or vector it reads:
 
 with zeros below the diagonal (k < j, i < j). A default `verify all` leaves
 about 0.07 MB of plans. Outside the box the recurrences weigh the row once
-per call and evaluate offset by offset from O(n) rows, keeping no plan; from
-n = 128 up the vector forms walk those rows inside the call by the Pascal
-rule, since more rows than the row cache holds would evict each other.
+per call and keep no plan: the scalar forms read an offset's O(n) row from
+`_pascal`, while the vector forms, which would read n//2 + 1 rows per call
+and soon evict them from each other, build what they need inside the call
+by the Pascal rule (`_m_sums_walked`, `_lifts_walked`).
 `direct_sum` keeps its own binomial(n, k)^m weights, apart from the plans,
 so eq7 compares two separately built sums.
 
@@ -75,18 +76,7 @@ def _check_args(**named: int) -> None:
             raise ValueError(f"{name} must be non-negative, got {value}")
 
 
-# While one call's n//2 + 1 Pascal rows fit in `_pascal`, the vector forms
-# read them there: a sweep repeats the same scan, and a repeated scan of at
-# most _PASCAL_ROWS rows finds every one. A longer scan would evict each row
-# before its next read (at n = 200 a repeated call missed about 100 times),
-# so from n//2 = _PASCAL_ROWS up they walk the rows inside the call by the
-# Pascal rule instead. Walking below that was slower: on eq8's pattern at
-# n = 92..100 (three kernels, levels 0..3 and their lifts) 92 ms against
-# 72 ms read from the cache.
-_PASCAL_ROWS = 64
-
-
-@lru_cache(maxsize=_PASCAL_ROWS)
+@lru_cache(maxsize=64)
 def _pascal(n: int) -> tuple[int, ...]:
     """binomial(n, k) for k = 0..n, walked by the exact step (n-k)/(k+1). A
     sweep reads the same few small rows tens of thousands of times; the bound
@@ -139,15 +129,18 @@ def _m_sum_at(weighted: Sequence[int], n: int, j: int) -> int:
 
 def _m_sums_walked(weighted: Sequence[int], n: int) -> tuple[int, ...]:
     """The M-sums at offsets j = 0..n//2 from the weighted row, innermost
-    offset first, each Pascal row walked from the one before: offset j reads
-    binomial(n-2j, .), two steps of the Pascal rule up from offset j+1's."""
+    offset first, with no Pascal row: m steps of the Pascal rule applied to
+    the row itself, v[i] + v[i+1], leave sum_l binomial(m, l) weighted[i+l]
+    at index i, and offset j reads index j after m = n - 2j steps."""
     out = []
-    pascal = [1] * (n % 2 + 1)
+    v = weighted
+    if n % 2:
+        v = list(map(add, v, v[1:]))
     for j in range(n // 2, -1, -1):
-        out.append(comb(n - j, j) * sum(map(mul, pascal, weighted[j : n - j + 1])))
+        out.append(comb(n - j, j) * v[j])
         if j:
-            pascal = [1, *map(add, pascal, pascal[1:]), 1]
-            pascal = [1, *map(add, pascal, pascal[1:]), 1]
+            v = list(map(add, v, v[1:]))
+            v = list(map(add, v, v[1:]))
     return tuple(reversed(out))
 
 
@@ -161,10 +154,7 @@ def m_sum_vector(row: Sequence[int], t: int) -> tuple[int, ...]:
     n = len(row) - 1
     if n <= _PLAN_N_MAX and t <= _PLAN_T_MAX:
         return tuple([sum(map(mul, coeffs, row)) for coeffs in _m_plan(n, t)])
-    weighted = _weigh(row, t)
-    if n // 2 < _PASCAL_ROWS:
-        return tuple([_m_sum_at(weighted, n, j) for j in range(n // 2 + 1)])
-    return _m_sums_walked(weighted, n)
+    return _m_sums_walked(_weigh(row, t), n)
 
 
 def m_sum(kernel: Kernel, n: int, j: int, t: int, a: int = 0) -> int:
@@ -202,17 +192,20 @@ def _lift_at(level: Sequence[int], n: int, j: int) -> int:
 
 
 def _lifts_walked(level: Sequence[int], n: int) -> tuple[int, ...]:
-    """The lifts at offsets j = 0..n//2, innermost offset first, as in
-    `_m_sums_walked`: offset j reads binomial(n-j, u) for u <= n//2 - j only,
-    so each row is kept to its first n//2 + 1 entries, which one step of the
-    Pascal rule turns into the next row's."""
+    """The lifts at offsets j = 0..n//2, innermost offset first, from one
+    Pascal row. With h = n//2, Vandermonde's binomial(n-j, u) = sum_k
+    binomial(h-j, k) binomial(n-h, u-k) makes offset j binomial(n, j) times
+    sum_k binomial(h-j, k) w[j+k], where w[p] = sum_s binomial(n-h, s)
+    level[p+s]; as in `_m_sums_walked`, h - j steps of the Pascal rule on w
+    leave that sum at index j, the last one."""
     half = n // 2
+    row = _pascal(n - half)
+    v = [sum(map(mul, row, level[p:])) for p in range(half + 1)]
     out = []
-    prefix = _pascal(n - half)[: half + 1]
     for j in range(half, -1, -1):
-        out.append(comb(n, j) * sum(map(mul, prefix, level[j:])))
+        out.append(comb(n, j) * v[-1])
         if j:
-            prefix = [1, *map(add, prefix, prefix[1:])]
+            v = list(map(add, v, v[1:]))
     return tuple(reversed(out))
 
 
@@ -225,8 +218,6 @@ def m_sum_lift_vector(level: Sequence[int], n: int) -> tuple[int, ...]:
     _check_level(level, n)
     if n <= _PLAN_N_MAX:
         return tuple([sum(map(mul, coeffs, level)) for coeffs in _lift_plan(n)])
-    if n // 2 < _PASCAL_ROWS:
-        return tuple([_lift_at(level, n, j) for j in range(n // 2 + 1)])
     return _lifts_walked(level, n)
 
 

@@ -874,9 +874,16 @@ def _run_forked(
     is loaded with the interpreter; `pickle` would cost an import of about
     3.6 ms) and leaves by `os._exit`, so it flushes and runs nothing of the
     parent's. If it dies or its reports cannot be read, this process runs
-    `theirs` itself."""
-    read_fd, write_fd = os.pipe()
-    pid = os.fork()
+    `theirs` itself, and if no child can be started (no descriptor, process
+    or memory left), it runs every suite here."""
+    fds: tuple[int, ...] = ()
+    try:
+        fds = read_fd, write_fd = os.pipe()
+        pid = os.fork()
+    except OSError:
+        for fd in fds:
+            os.close(fd)
+        return [_run_or_abort(name, sweep, bump, budget) for name in mine + theirs]
     if pid == 0:
         code = 1
         try:

@@ -809,11 +809,11 @@ def test_calls_outside_the_plan_box_keep_no_plan():
     assert [cache.cache_info() for cache in plans] == before
 
 
-@pytest.mark.parametrize("n", [13, 14, 65, 2 * sums._PASCAL_ROWS - 1, 2 * sums._PASCAL_ROWS, 200])
+@pytest.mark.parametrize("n", [13, 14, 65, 100, 200])
 def test_walked_pascal_rows_match_the_per_offset_code(n):
-    # from n//2 = _PASCAL_ROWS up the vector forms walk their Pascal rows
-    # inside the call; the per-offset code, which reads each row from
-    # `_pascal`, is the reference for the walk at every n
+    # outside the plan box the vector forms walk their Pascal rows inside the
+    # call; the per-offset code of the scalar forms, which reads each row
+    # from `_pascal`, is the reference for the walk
     rng = random.Random(n)
     rows = (gessel_kernel(3).row(n, 2), tuple(rng.randint(-(10**9), 10**9) for _ in range(n + 1)))
     half = n // 2
@@ -826,13 +826,19 @@ def test_walked_pascal_rows_match_the_per_offset_code(n):
             assert sums._lifts_walked(level, n) == lifted == m_sum_lift_vector(level, n)
 
 
-@pytest.mark.parametrize("n", [2 * sums._PASCAL_ROWS - 1, 200])
+@pytest.mark.parametrize("n", [100, 200])
 def test_a_repeated_wide_call_rebuilds_no_pascal_row(n):
-    # at n = 200 the per-offset code read 101 distinct Pascal rows per call
-    # through the 64-row cache, so a repeated call missed about 100 times
+    # read offset by offset through the 64-row cache, a vector call at
+    # n = 200 asked for 101 distinct Pascal rows and a repeated call missed
+    # about 100 times; at n = 100 a vector and lift pair asked for 76
     row = central_kernel().row(n, 0)
     level = m_sum_vector(row, 1)
-    for call in (lambda: m_sum_vector(row, 1), lambda: m_sum_lift_vector(level, n)):
+
+    def pair():
+        m_sum_vector(row, 1)
+        m_sum_lift_vector(level, n)
+
+    for call in (lambda: m_sum_vector(row, 1), lambda: m_sum_lift_vector(level, n), pair):
         call()
         misses = sums._pascal.cache_info().misses
         call()

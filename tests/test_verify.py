@@ -8,6 +8,7 @@ Trimmed ranges keep every run here fast.
 
 from __future__ import annotations
 
+import errno
 import hashlib
 import json
 import marshal
@@ -524,19 +525,27 @@ def test_run_all_rejects_a_malformed_budget(monkeypatch):
 
 
 def _on_cpus(monkeypatch, cpus, sweep=None, **kwargs):
-    """reports_to_json(run_all(...)) with `cpus` CPUs, and the forks it made."""
-    forks = []
-    real_fork = os.fork
+    """reports_to_json(run_all(...)) with `cpus` CPUs, the forks it made, and
+    the suites this process ran itself, in the order it ran them."""
+    forks, ran_here = [], []
+    parent = os.getpid()
+    real_fork, real_run_suite = os.fork, verify.run_suite
 
     def fork():
         forks.append(os.getpid())
         return real_fork()
 
+    def run_suite(name, *args, **kw):
+        if os.getpid() == parent:
+            ran_here.append(name)
+        return real_run_suite(name, *args, **kw)
+
     with monkeypatch.context() as patch:
         patch.setattr(verify, "_cpus", lambda: cpus)
         patch.setattr(os, "fork", fork)
+        patch.setattr(verify, "run_suite", run_suite)
         text = reports_to_json(run_all(sweep, **kwargs))
-    return text, len(forks)
+    return text, len(forks), ran_here
 
 
 @pytest.mark.parametrize(
@@ -554,10 +563,14 @@ def _on_cpus(monkeypatch, cpus, sweep=None, **kwargs):
 )
 def test_forked_and_serial_runs_give_the_same_bytes(monkeypatch, sweep, kwargs):
     monkeypatch.delenv("CONVOLVIUM_BUDGET_MS", raising=False)
-    serial, serial_forks = _on_cpus(monkeypatch, 1, sweep, **kwargs)
-    forked, forks = _on_cpus(monkeypatch, 2, sweep, **kwargs)
+    serial, serial_forks, serial_here = _on_cpus(monkeypatch, 1, sweep, **kwargs)
+    forked, forks, forked_here = _on_cpus(monkeypatch, 2, sweep, **kwargs)
     assert (serial_forks, forks) == (0, 1)
     assert forked == serial
+    # the child's reports were used: this process ran its own share only,
+    # not the child's again through the fallback
+    assert serial_here == list(suite_names())
+    assert forked_here == verify._shares(sweep or SweepRange())[0]
     payload = json.loads(forked)
     assert [s["suite"] for s in payload["suites"]] == list(suite_names())
     if "budget_ms" in kwargs:
@@ -577,9 +590,10 @@ def test_the_split_is_a_pure_function_of_the_box():
 
 
 def test_a_dead_child_leaves_its_suites_to_the_parent(monkeypatch):
-    serial, _ = _on_cpus(monkeypatch, 1, _TRIM)
+    serial, _, _ = _on_cpus(monkeypatch, 1, _TRIM)
     parent = os.getpid()
-    for name in verify._shares(_TRIM)[1][:2]:
+    mine, theirs = verify._shares(_TRIM)
+    for name in theirs[:2]:
         spec = verify._REGISTRY[name]
 
         def runner(ctx, real=spec.runner):
@@ -588,9 +602,37 @@ def test_a_dead_child_leaves_its_suites_to_the_parent(monkeypatch):
             real(ctx)
 
         monkeypatch.setitem(verify._REGISTRY, name, spec._replace(runner=runner))
-    forked, forks = _on_cpus(monkeypatch, 2, _TRIM)
+    forked, forks, ran_here = _on_cpus(monkeypatch, 2, _TRIM)
     assert forks == 1
     assert forked == serial
+    assert ran_here == mine + theirs
+
+
+@pytest.mark.parametrize("call", ["pipe", "fork"])
+def test_no_child_to_start_runs_every_suite_here(monkeypatch, call):
+    # os.pipe fails with EMFILE when no descriptor is left, os.fork with
+    # EAGAIN or ENOMEM when no process or memory is left for a child
+    serial, _, _ = _on_cpus(monkeypatch, 1, _TRIM)
+    opened = []
+    real_pipe = os.pipe
+
+    def pipe():
+        if call == "pipe":
+            raise OSError(errno.EMFILE, "Too many open files")
+        opened.extend(real_pipe())
+        return tuple(opened)
+
+    def fork():
+        raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
+
+    monkeypatch.setattr(os, "pipe", pipe)
+    monkeypatch.setattr(os, "fork", fork)
+    monkeypatch.setattr(verify, "_cpus", lambda: 2)
+    assert reports_to_json(run_all(_TRIM)) == serial
+    assert len(opened) == (2 if call == "fork" else 0)
+    for fd in opened:  # the pipe is closed again, not leaked
+        with pytest.raises(OSError):
+            os.fstat(fd)
 
 
 def test_an_unreadable_child_result_is_refused():
