@@ -101,8 +101,9 @@ class Kernel(_KernelFields):
             (n, k, a), delta = self.bump
             if delta == 0:
                 raise ValueError("bump delta must be non-zero")
-            if n < 0 or a < 0 or not 0 <= k <= n:
-                raise ValueError(f"bump point out of domain: n={n}, k={k}, a={a}")
+            stored = self.rows is None or (n, a) in self.rows
+            if n < 0 or a < 0 or not 0 <= k <= n or not stored:
+                raise ValueError(f"bump point in no row of the kernel: n={n}, k={k}, a={a}")
         return self
 
     @property

@@ -15,10 +15,10 @@ never builds, leaves every suite green. Randomized suites (eq8, thm2) derive
 their kernels from a seeded generator, so reports are reproducible byte for
 byte.
 
-Runtime protection: before running, each suite estimates its work from the
-resolved range and refuses (RangeTooLarge) if the estimate exceeds the
-budget, taken from the CONVOLVIUM_BUDGET_MS environment variable when set
-and 600000 ms otherwise.
+Runtime protection: each suite declares the cases it checks at a resolved
+range. Before running, it refuses (RangeTooLarge) if their estimated time
+(`_estimate`) exceeds the budget, taken from the CONVOLVIUM_BUDGET_MS
+environment variable when set and 600000 ms otherwise.
 """
 
 from __future__ import annotations
@@ -72,9 +72,6 @@ DEFAULT_BUDGET_MS = 600_000.0
 BUDGET_ENV_VAR = "CONVOLVIUM_BUDGET_MS"
 DEFAULT_SEED = 0x5EED
 FUZZ_KERNEL_COUNT = 50
-
-# rough cost assigned to one kernel/binomial evaluation when estimating work
-_EST_US_PER_TERM = 2.0
 
 # board size (x + y at the target) up to which the paths suite cross-checks
 # the counting DP against explicit enumeration
@@ -500,57 +497,23 @@ class SuiteSpec(NamedTuple):
     claim: str
     defaults: dict[str, int]
     runner: Callable[[_SuiteCtx], None]
-    estimator: Callable[[dict[str, int]], float]
+    cases: Callable[[dict[str, int]], int | float]  # the runner's cases_checked
+    us_per_case: float  # µs, fitted at the default box (README, "Budget guard")
     minimums: dict[str, int] = {}  # over _MIN_DEFAULTS; only ever read
 
 
-def _est_weighted(p: dict[str, int]) -> float:
-    n = p["n_max"]
-    return (n + 1) * p.get("m_max", 1) * p.get("r_max", 1) * (p.get("a_max", 0) + 1) * (2 * n + 2)
-
-
-def _est_closed_forms(p: dict[str, int]) -> float:
-    n = p["n_max"]
-    return 9.0 * (n + 1) * (n + 2) * p["r_max"] * (p["a_max"] + 1) * (2 * n + 2)
-
-
-def _kernel_count(p: dict[str, int]) -> int:
-    return 2 + (p["a_max"] + 1) + 3 * p["r_max"]
-
-
-def _est_eq7(p: dict[str, int]) -> float:
-    return _kernel_count(p) * p["m_max"] * float(p["n_max"] + 1) ** 2
-
-
-def _est_eq8(p: dict[str, int]) -> float:
-    n = p["n_max"]
-    per_case = (n + 1) * (n // 2 + 2)
-    return (_kernel_count(p) + FUZZ_KERNEL_COUNT) * p["m_max"] * (n + 1) * (n // 2 + 1) * float(per_case)
-
-
-def _est_thm2(p: dict[str, int]) -> float:
-    n, a, r = p["n_max"], p["a_max"], p["r_max"]
-    fuzz = FUZZ_KERNEL_COUNT * (n + 1.0) ** 2 * (a + 1) ** 2 * (n + 2)
-    instance = r * (min(6, n) + 1.0) ** 2 * (2 * min(6, n) + 2)
-    return fuzz + instance
-
-
-def _est_eq2_eq4(p: dict[str, int]) -> float:
-    n = p["n_max"]
-    return p["r_max"] * (2 * n + 1.0) + 4.0 * (n + 1) * p["m_max"] * p["r_max"] * (2 * n + 2)
-
-
-def _est_kr(p: dict[str, int]) -> float:
-    window = p["n_max"] + 1.0
+def _kr_cases(p: dict[str, int]) -> int | float:
+    # refused past r 40 before any K_r is built: the scan tries every K < K_r
     if p["r_max"] > 40:
-        return float("inf")
-    candidates = sum(float(smallest_clearing_factor(r)) for r in range(1, p["r_max"] + 1))
-    return p["r_max"] * window + candidates * window
+        return math.inf
+    return sum(p["n_max"] + smallest_clearing_factor(r) for r in range(1, p["r_max"] + 1))
 
 
-def _est_paths(p: dict[str, int]) -> float:
-    n, r = p["n_max"], p["r_max"]
-    return 4.0 * n * r * (n + r) ** 2 + 8000.0
+def _paths_cases(p: dict[str, int]) -> int:
+    # boards with n + r <= most are also enumerated, for both specs
+    most = (_ENUM_CROSSCHECK_STEPS + 1) // 2
+    small = sum(min(p["r_max"], most - n) for n in range(1, min(p["n_max"], most - 1) + 1))
+    return 2 * (p["n_max"] * p["r_max"] + small)
 
 
 _MIN_DEFAULTS = {"n_max": 0, "m_max": 1, "r_max": 1, "a_max": 0}
@@ -565,7 +528,8 @@ _REGISTRY: dict[str, SuiteSpec] = {
             "Gessel convolution at every binomial weight",
             {"n_max": 10, "m_max": 4, "r_max": 5},
             _sum_divisible(KernelFamily.GESSEL, lambda n, r: half_super_catalan(n, r)),
-            _est_weighted,
+            lambda p: p["r_max"] * (p["n_max"] + 1) * p["m_max"],
+            13.0,
         ),
         SuiteSpec(
             "psi-div",
@@ -573,7 +537,8 @@ _REGISTRY: dict[str, SuiteSpec] = {
             "Catalan convolution at every binomial weight",
             {"n_max": 10, "m_max": 4, "r_max": 5},
             _sum_divisible(KernelFamily.SUPERCAT, lambda n, r: super_catalan(n, r)),
-            _est_weighted,
+            lambda p: p["r_max"] * (p["n_max"] + 1) * p["m_max"],
+            9.9,
         ),
         SuiteSpec(
             "phi-m1",
@@ -581,14 +546,16 @@ _REGISTRY: dict[str, SuiteSpec] = {
             "catalan(n) * binomial(2n, n)",
             {"n_max": 12},
             _run_phi_m1,
-            _est_weighted,
+            lambda p: p["n_max"] + 1,
+            31.0,
         ),
         SuiteSpec(
             "psi-m1",
             "at weight 1 the super Catalan convolution equals S(n,r) * S(n+r,n)",
             {"n_max": 10, "r_max": 5},
             _run_psi_m1,
-            _est_weighted,
+            lambda p: p["r_max"] * (p["n_max"] + 1),
+            19.0,
         ),
         SuiteSpec(
             "calkin",
@@ -596,7 +563,8 @@ _REGISTRY: dict[str, SuiteSpec] = {
             "binomial(2n,k)",
             {"n_max": 12, "m_max": 5},
             _sum_divisible(KernelFamily.PLAIN, lambda n: central_binomial(n)),
-            _est_weighted,
+            lambda p: (p["n_max"] + 1) * p["m_max"],
+            8.9,
         ),
         SuiteSpec(
             "s2-div",
@@ -606,7 +574,8 @@ _REGISTRY: dict[str, SuiteSpec] = {
             _sum_divisible(
                 KernelFamily.RISING, lambda n, a: lcm(binomial(a + n, a), central_binomial(n))
             ),
-            _est_weighted,
+            lambda p: (p["a_max"] + 1) * (p["n_max"] + 1) * p["m_max"],
+            9.4,
         ),
         SuiteSpec(
             "s3-div",
@@ -614,7 +583,8 @@ _REGISTRY: dict[str, SuiteSpec] = {
             "central-binomial kernel",
             {"n_max": 10, "m_max": 4},
             _sum_divisible(KernelFamily.CENTRAL, lambda n: central_binomial(n)),
-            _est_weighted,
+            lambda p: (p["n_max"] + 1) * p["m_max"],
+            11.0,
         ),
         SuiteSpec(
             "closed-forms",
@@ -622,7 +592,11 @@ _REGISTRY: dict[str, SuiteSpec] = {
             "including one offset past the vanishing boundary",
             {"n_max": 6, "r_max": 4, "a_max": 4},
             _run_closed_forms,
-            _est_closed_forms,
+            # j <= n' + 1 at each n' <= n for two plain families, two rising at
+            # each a, one central and three ordered at each r; phi-00 at each r
+            lambda p: (5 + 2 * p["a_max"] + 3 * p["r_max"]) * (math.comb(p["n_max"] + 3, 2) - 1)
+            + p["r_max"] * (p["n_max"] + 1),
+            17.0,
         ),
         SuiteSpec(
             "eq7",
@@ -630,7 +604,8 @@ _REGISTRY: dict[str, SuiteSpec] = {
             "for every built-in kernel",
             {"n_max": 12, "m_max": 4, "r_max": 4, "a_max": 4},
             _run_eq7,
-            _est_eq7,
+            lambda p: (3 + p["a_max"] + 3 * p["r_max"]) * (p["n_max"] + 1) * p["m_max"],
+            13.0,
         ),
         SuiteSpec(
             "eq8",
@@ -638,7 +613,11 @@ _REGISTRY: dict[str, SuiteSpec] = {
             "M-sum one level up, for built-in and random kernels",
             {"n_max": 12, "m_max": 3, "r_max": 4, "a_max": 4},
             _run_eq8,
-            _est_eq8,
+            # levels 1..m at j <= n'/2 for each n' <= n, per fuzz kernel and built-in
+            # kernel (plain, central, rising at each a, three ordered at each r)
+            lambda p: (3 + p["a_max"] + 3 * p["r_max"] + FUZZ_KERNEL_COUNT)
+            * p["m_max"] * ((p["n_max"] + 2) ** 2 // 4),
+            4.3,
         ),
         SuiteSpec(
             "thm2",
@@ -646,7 +625,10 @@ _REGISTRY: dict[str, SuiteSpec] = {
             "offset M-sums, for random kernels and for the Gessel instance",
             {"n_max": 10, "a_max": 3, "r_max": 4},
             _run_thm2,
-            _est_thm2,
+            # j <= n at each (n, a) per fuzz kernel, j <= h at n = 2h <= 12 per r
+            lambda p: FUZZ_KERNEL_COUNT * (p["a_max"] + 1) * math.comb(p["n_max"] + 2, 2)
+            + p["r_max"] * math.comb(min(6, p["n_max"]) + 2, 2),
+            3.5,
         ),
         SuiteSpec(
             "eq2-eq4",
@@ -654,7 +636,8 @@ _REGISTRY: dict[str, SuiteSpec] = {
             "pointwise and in aggregate under their factorizations",
             {"n_max": 8, "m_max": 3, "r_max": 4},
             _run_eq2_eq4,
-            _est_eq2_eq4,
+            lambda p: p["r_max"] * (2 * p["n_max"] + 1 + 2 * (p["n_max"] + 1) * p["m_max"]),
+            16.0,
         ),
         SuiteSpec(
             "stanley",
@@ -662,7 +645,8 @@ _REGISTRY: dict[str, SuiteSpec] = {
             "binomial(a+n,m) binomial(b+m,n) over the full box",
             {"n_max": 12},
             _run_stanley,
-            lambda p: float(p["n_max"] + 1) ** 5,
+            lambda p: (p["n_max"] + 1) ** 4,
+            1.0,
         ),
         SuiteSpec(
             "eq14",
@@ -670,7 +654,8 @@ _REGISTRY: dict[str, SuiteSpec] = {
             "binomial(a-c,b-c) for all c <= b <= a",
             {"a_max": 24},
             _run_eq14,
-            lambda p: float(p["a_max"] + 1) ** 3,
+            lambda p: math.comb(p["a_max"] + 3, 3),
+            1.4,
         ),
         SuiteSpec(
             "kr",
@@ -679,7 +664,8 @@ _REGISTRY: dict[str, SuiteSpec] = {
             "in it",
             {"n_max": 500, "r_max": 5},
             _run_kr,
-            _est_kr,
+            _kr_cases,
+            2.2,
         ),
         SuiteSpec(
             "remark1",
@@ -687,7 +673,8 @@ _REGISTRY: dict[str, SuiteSpec] = {
             "by 6 but by neither 12 nor 20",
             {},
             _run_remark1,
-            lambda p: 50.0,
+            lambda p: 4,
+            25.0,
         ),
         SuiteSpec(
             "paths",
@@ -695,7 +682,8 @@ _REGISTRY: dict[str, SuiteSpec] = {
             "explicit enumeration matches the counting DP on small boards",
             {"n_max": 10, "r_max": 6},
             _run_paths,
-            _est_paths,
+            _paths_cases,
+            56.0,
             minimums={"n_max": 1, "r_max": 1},
         ),
     )
@@ -718,6 +706,18 @@ def _resolve_params(spec: SuiteSpec, sweep: SweepRange) -> tuple[dict[str, int],
             value = minimum
         params[pname] = value
     return params, notes
+
+
+def _estimate(spec: SuiteSpec, params: dict[str, int]) -> tuple[int | float, float]:
+    """The cases `spec` declares at `params` and their estimated ms: each at
+    the suite's cost, fitted at its default box, grown by (n_max + 1) /
+    (default n_max + 1), as a case's cost grows about linearly in n."""
+    cases = spec.cases(params)
+    try:
+        grow = (params["n_max"] + 1) / (spec.defaults["n_max"] + 1) if "n_max" in params else 1
+        return cases, cases * spec.us_per_case * grow / 1000.0
+    except OverflowError:  # past the float range, so no finite budget admits it
+        return math.inf, math.inf
 
 
 def _resolve_budget(budget_ms: float | None) -> float:
@@ -772,11 +772,11 @@ def run_suite(
     sweep = sweep if sweep is not None else SweepRange()
     params, notes = _resolve_params(spec, sweep)
     budget = _resolve_budget(budget_ms)
-    est_ms = spec.estimator(params) * _EST_US_PER_TERM / 1000.0
+    cases, est_ms = _estimate(spec, params)
     if est_ms > budget:
         raise RangeTooLarge(
-            f"suite {name!r} at {params} is estimated at ~{est_ms:.0f} ms, over "
-            f"the {budget:.0f} ms budget; shrink the range or raise {BUDGET_ENV_VAR}"
+            f"suite {name!r} at {params} is estimated at {cases} cases, ~{est_ms:.0f} ms, "
+            f"over the {budget:.0f} ms budget; shrink the range or raise {BUDGET_ENV_VAR}"
         )
     ctx = _SuiteCtx(params, sweep.seed, bump)
     ctx.notes.extend(notes)
@@ -819,18 +819,15 @@ def _run_or_abort(
 
 
 def _shares(sweep: SweepRange) -> tuple[list[str], list[str]]:
-    """Every suite, split between two processes: longest budget estimate
-    first, each to the side with the smaller estimated total (ties to the
-    first side). A pure function of the registry and the resolved box."""
-
-    def estimate(name: str) -> float:
-        spec = _REGISTRY[name]
+    """Every suite, split between two processes: longest `_estimate` first,
+    each to the side with the smaller estimated total (ties to the first
+    side). A pure function of the registry and the resolved box."""
+    est: dict[str, float] = {}
+    for name, spec in _REGISTRY.items():
         try:
-            return spec.estimator(_resolve_params(spec, sweep)[0])
+            est[name] = _estimate(spec, _resolve_params(spec, sweep)[0])[1]
         except Exception:  # the suite raises again when it runs, and aborts
-            return 0.0
-
-    est = {name: estimate(name) for name in _REGISTRY}
+            est[name] = 0.0
     sides: tuple[list[str], list[str]] = ([], [])
     totals = [0.0, 0.0]
     for name in sorted(est, key=est.__getitem__, reverse=True):  # stable: ties keep registry order

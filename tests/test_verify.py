@@ -102,6 +102,74 @@ def test_case_counts_are_exhaustive():
     assert rep.cases_checked == 4
 
 
+def _declared_boxes(name):
+    """The default box, the all-minimum box (raised to each minimum), two
+    small mixed boxes, and one past the default in every parameter the
+    suite reads."""
+    spec = verify._REGISTRY[name]
+    return [
+        SweepRange(),
+        SweepRange(n_max=0, m_max=0, r_max=0, a_max=0),
+        SweepRange(n_max=3, m_max=2, r_max=2, a_max=1),
+        SweepRange(n_max=7, m_max=3, r_max=3, a_max=5),
+        SweepRange(**{p: v + 1 for p, v in spec.defaults.items()}),
+    ]
+
+
+@pytest.mark.parametrize("name", suite_names())
+def test_declared_cases_equal_the_cases_checked(name):
+    # the budget estimate is the declared count times a per-case cost, so a
+    # runner that drifts from its declaration must fail here
+    spec = verify._REGISTRY[name]
+    for sweep in _declared_boxes(name):
+        rep = run_suite(name, sweep)
+        params = {p: v for p, v in rep.range.items() if p != "seed"}
+        assert params == verify._resolve_params(spec, sweep)[0]
+        assert spec.cases(params) == rep.cases_checked, (name, params)
+
+
+def _unrunnable(monkeypatch):
+    """Make every suite's runner fail, so a test can see the guard's verdict
+    without running any suite."""
+
+    def runner(ctx):
+        raise AssertionError("the guard let a suite run")
+
+    for name, spec in verify._REGISTRY.items():
+        monkeypatch.setitem(verify._REGISTRY, name, spec._replace(runner=runner))
+
+
+def test_zero_budget_refuses_every_suite_at_every_box(monkeypatch):
+    _unrunnable(monkeypatch)
+    for name in suite_names():
+        spec = verify._REGISTRY[name]
+        assert spec.us_per_case > 0
+        for sweep in _declared_boxes(name):
+            assert spec.cases(verify._resolve_params(spec, sweep)[0]) >= 1
+            with pytest.raises(RangeTooLarge, match="budget"):
+                run_suite(name, sweep, budget_ms=0)
+
+
+def test_the_estimate_admits_cheap_wide_boxes_and_refuses_costly_ones(monkeypatch):
+    monkeypatch.delenv("CONVOLVIUM_BUDGET_MS", raising=False)
+    _unrunnable(monkeypatch)
+    # each runs in a few seconds once admitted
+    for name, sweep in (("eq8", SweepRange(n_max=50)), ("stanley", SweepRange(n_max=30))):
+        with pytest.raises(AssertionError, match="guard let a suite run"):
+            run_suite(name, sweep)
+    # quadratic in the window: minutes of work
+    with pytest.raises(RangeTooLarge):
+        run_suite("kr", SweepRange(n_max=300_000))
+    # a count past the float range is refused, not an arithmetic error, and
+    # the message prints however long the count is
+    for n_max in (10**84, 10**1100):
+        with pytest.raises(RangeTooLarge, match="inf cases, ~inf ms"):
+            run_suite("stanley", SweepRange(n_max=n_max))
+    # the refusal gives the declared count beside the estimate
+    with pytest.raises(RangeTooLarge, match=r"at 139932 cases, ~\d+ ms, over the 0 ms budget"):
+        run_suite("eq8", SweepRange(n_max=50), budget_ms=0)
+
+
 def test_report_fields_and_range():
     rep = run_suite("theorem1", SweepRange(n_max=3, m_max=1, r_max=1))
     assert rep.suite == "theorem1"
@@ -271,6 +339,13 @@ def test_kernel_bump_validation():
             with_bump(base, point, delta)
         with pytest.raises(ValueError):
             Kernel(base.family, order=base.order, bump=(point, delta))
+    # a custom kernel holds only its stored rows: a bump elsewhere would
+    # never apply
+    custom = custom_kernel({(2, k, 0): k + 1 for k in range(3)})
+    assert with_bump(custom, (2, 1, 0), 7).row(2, 0) == (1, 9, 3)
+    for point in ((5, 1, 0), (2, 1, 1)):
+        with pytest.raises(ValueError, match="no row of the kernel"):
+            with_bump(custom, point, 7)
 
 
 def test_records_are_immutable_and_equal_by_fields():
