@@ -10,7 +10,9 @@ functions take the half index n and correspond to M-sums at composite index
 
 FAMILIES maps each family to its closed form and to the kernel family and
 level t of that M-sum; FAMILY_PARAMS is read off the closed forms' code
-objects (their parameter names), without importing `inspect`.
+objects (their parameter names), without importing `inspect`. The closed
+forms are private and check nothing: both sides of each identity,
+`closed_form` and `msum_counterpart`, check a family's arguments in `_check`.
 """
 
 from __future__ import annotations
@@ -41,36 +43,28 @@ class ClosedFormFamily(str, Enum):
     PHI_00 = "phi-00"
 
 
-def closed_s1_t0(n: int, j: int) -> int:
+def _s1_t0(n: int, j: int) -> int:
     """Plain kernel, level 0: (-1)^n at j = n, else 0."""
-    if n < 0 or j < 0:
-        raise ValueError("n and j must be non-negative")
     return _sign(n) if j == n else 0
 
 
-def closed_s1_t1(n: int, j: int) -> int:
+def _s1_t1(n: int, j: int) -> int:
     """Plain kernel, level 1: (-1)^n binomial(2n, n) binomial(n, j)."""
-    if n < 0 or j < 0:
-        raise ValueError("n and j must be non-negative")
     return _sign(n) * binomial(2 * n, n) * binomial(n, j)
 
 
-def closed_s2_t0(n: int, j: int, a: int) -> int:
+def _s2_t0(n: int, j: int, a: int) -> int:
     """Rising kernel, level 0: (-1)^n binomial(a+n, a) binomial(a+j, j) binomial(a, n-j)."""
-    if n < 0 or j < 0 or a < 0:
-        raise ValueError("n, j, a must be non-negative")
     if j > n:
         return 0
     return _sign(n) * binomial(a + n, a) * binomial(a + j, j) * binomial(a, n - j)
 
 
-def closed_s2_t1(n: int, j: int, a: int) -> int:
+def _s2_t1(n: int, j: int, a: int) -> int:
     """Rising kernel, level 1:
     (-1)^n binomial(a+n, a) *
         sum_u binomial(2n, j+u) binomial(j+u, u) binomial(a+j+u, j+u) binomial(a, n-j-u).
     """
-    if n < 0 or j < 0 or a < 0:
-        raise ValueError("n, j, a must be non-negative")
     total = sum(
         binomial(2 * n, j + u)
         * binomial(j + u, u)
@@ -81,11 +75,9 @@ def closed_s2_t1(n: int, j: int, a: int) -> int:
     return _sign(n) * binomial(a + n, a) * total
 
 
-def closed_s3_t0(n: int, j: int) -> int:
+def _s3_t0(n: int, j: int) -> int:
     """Central kernel, level 0:
     (-1)^j binomial(2n, n) binomial(2j, j) binomial(2(n-j), n-j)."""
-    if n < 0 or j < 0:
-        raise ValueError("n and j must be non-negative")
     if j > n:
         return 0
     return (
@@ -96,12 +88,8 @@ def closed_s3_t0(n: int, j: int) -> int:
     )
 
 
-def closed_psi_t0(n: int, j: int, r: int) -> int:
+def _psi_t0(n: int, j: int, r: int) -> int:
     """Supercat(r) kernel, level 0: a single exact ratio of six binomials."""
-    if n < 0 or j < 0:
-        raise ValueError("n and j must be non-negative")
-    if r < 1:
-        raise ValueError("r must be at least 1")
     if j > n:
         return 0
     num = (
@@ -115,15 +103,11 @@ def closed_psi_t0(n: int, j: int, r: int) -> int:
     return _sign(j) * exact_div(num, den)
 
 
-def closed_psi_t1(n: int, j: int, r: int) -> int:
+def _psi_t1(n: int, j: int, r: int) -> int:
     """Supercat(r) kernel, level 1:
     (-1)^j S(n, r) binomial(n, j) *
         sum_v (-1)^v S(n+r-j-v, n) binomial(2(j+v), j+v) binomial(n-j, v).
     """
-    if n < 0 or j < 0:
-        raise ValueError("n and j must be non-negative")
-    if r < 1:
-        raise ValueError("r must be at least 1")
     total = sum(
         _sign(v)
         * super_catalan(n + r - j - v, n)
@@ -134,7 +118,7 @@ def closed_psi_t1(n: int, j: int, r: int) -> int:
     return _sign(j) * super_catalan(n, r) * binomial(n, j) * total
 
 
-def closed_phi_t0(n: int, j: int, r: int) -> int:
+def _phi_t0(n: int, j: int, r: int) -> int:
     """Gessel(r) kernel, level 0, at any offset j.
 
     Term l of the inner sum has denominator d_l = 2 binomial(2n-j+l+1, n)
@@ -142,10 +126,6 @@ def closed_phi_t0(n: int, j: int, r: int) -> int:
     terms are put over D = lcm of the d_l and the total is finished with one
     exact division by D, so a non-integral total raises NonDivisible.
     """
-    if n < 0 or j < 0:
-        raise ValueError("n and j must be non-negative")
-    if r < 1:
-        raise ValueError("r must be at least 1")
     if j > n:
         return 0
     prefactor = (
@@ -168,13 +148,9 @@ def closed_phi_t0(n: int, j: int, r: int) -> int:
     return exact_div(prefactor * total, common)
 
 
-def closed_phi_origin(n: int, r: int) -> int:
+def _phi_origin(n: int, r: int) -> int:
     """Gessel(r) kernel, level 0, at offset 0. Each term groups into half
     super Catalan numbers and is individually an integer."""
-    if n < 0:
-        raise ValueError("n must be non-negative")
-    if r < 1:
-        raise ValueError("r must be at least 1")
     total = sum(
         _sign(l)
         * binomial(2 * n + l, l)
@@ -189,15 +165,15 @@ def closed_phi_origin(n: int, r: int) -> int:
 # family -> (its closed form, the kernel family and weight level t of the
 # M-sum it equals)
 FAMILIES: dict[ClosedFormFamily, tuple[Callable[..., int], KernelFamily, int]] = {
-    ClosedFormFamily.S1_T0: (closed_s1_t0, KernelFamily.PLAIN, 0),
-    ClosedFormFamily.S1_T1: (closed_s1_t1, KernelFamily.PLAIN, 1),
-    ClosedFormFamily.S2_T0: (closed_s2_t0, KernelFamily.RISING, 0),
-    ClosedFormFamily.S2_T1: (closed_s2_t1, KernelFamily.RISING, 1),
-    ClosedFormFamily.S3_T0: (closed_s3_t0, KernelFamily.CENTRAL, 0),
-    ClosedFormFamily.PSI_T0: (closed_psi_t0, KernelFamily.SUPERCAT, 0),
-    ClosedFormFamily.PSI_T1: (closed_psi_t1, KernelFamily.SUPERCAT, 1),
-    ClosedFormFamily.PHI_J_T0: (closed_phi_t0, KernelFamily.GESSEL, 0),
-    ClosedFormFamily.PHI_00: (closed_phi_origin, KernelFamily.GESSEL, 0),
+    ClosedFormFamily.S1_T0: (_s1_t0, KernelFamily.PLAIN, 0),
+    ClosedFormFamily.S1_T1: (_s1_t1, KernelFamily.PLAIN, 1),
+    ClosedFormFamily.S2_T0: (_s2_t0, KernelFamily.RISING, 0),
+    ClosedFormFamily.S2_T1: (_s2_t1, KernelFamily.RISING, 1),
+    ClosedFormFamily.S3_T0: (_s3_t0, KernelFamily.CENTRAL, 0),
+    ClosedFormFamily.PSI_T0: (_psi_t0, KernelFamily.SUPERCAT, 0),
+    ClosedFormFamily.PSI_T1: (_psi_t1, KernelFamily.SUPERCAT, 1),
+    ClosedFormFamily.PHI_J_T0: (_phi_t0, KernelFamily.GESSEL, 0),
+    ClosedFormFamily.PHI_00: (_phi_origin, KernelFamily.GESSEL, 0),
 }
 
 # parameters each family's closed form takes, the half index n first; every
@@ -208,9 +184,24 @@ FAMILY_PARAMS: dict[ClosedFormFamily, tuple[str, ...]] = {
 }
 
 
+def _check(family: ClosedFormFamily, n: int, j: int, r: int, a: int) -> None:
+    """Refuse an argument `family` takes outside the closed forms' domain (n,
+    j and a non-negative, r at least 1), naming it and the value passed. The
+    guard keeps the ~1800 valid calls of a default `verify all` cheap."""
+    if min(n, j, a) >= 0 and r >= 1:
+        return
+    given = {"n": n, "j": j, "r": r, "a": a}
+    for name in FAMILY_PARAMS[family]:
+        if name == "r" and r < 1:
+            raise ValueError(f"r must be at least 1, got {r}")
+        if given[name] < 0:
+            raise ValueError(f"{name} must be non-negative, got {given[name]}")
+
+
 def closed_form(family: ClosedFormFamily, *, n: int, j: int = 0, r: int = 1, a: int = 0) -> int:
     """Evaluate one closed-form family (n is the half index)."""
     family = ClosedFormFamily(family)
+    _check(family, n, j, r, a)
     given = {"n": n, "j": j, "r": r, "a": a}
     return FAMILIES[family][0](**{name: given[name] for name in FAMILY_PARAMS[family]})
 
@@ -231,6 +222,7 @@ def msum_counterpart(
     at 0. `kernel` overrides the family's standard kernel (the verifier uses
     this to thread fault-injected kernels through)."""
     family = ClosedFormFamily(family)
+    _check(family, n, j, r, a)
     _, kfam, t = FAMILIES[family]
     takes = FAMILY_PARAMS[family]
     if kfam in PARAMETERIZED_FAMILIES:

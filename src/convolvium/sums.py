@@ -22,7 +22,10 @@ The vector forms return a whole offset range at once: `m_sum_vector` the
 M-sums at j = 0..n//2 of one row and level, `m_sum_lift_vector` the next
 level up from one level-t vector, and `theorem2_transform_vector` the
 transplant at j = 0..n from one level-0 vector of G. The scalar functions
-read the same coefficients for the offsets they need.
+read the same coefficients for the offsets they need: `m_sum` its offset's
+row of the M-sum plan inside the box below, and `m_sum_lift` and
+`theorem2_transform`, which no suite calls, their offset's O(n) Pascal row
+at every n (`_lift_at`, `_transplant_at`).
 
 Coefficients that depend only on indices come from bounded caches.
 `_pascal(n)` holds binomial(n, 0..n), walked like a kernel row by one exact
@@ -227,10 +230,7 @@ def m_sum_lift(kernel: Kernel, n: int, j: int, t: int, a: int = 0) -> int:
     _check_args(n=n, j=j, t=t, a=a)
     if 2 * j > n:
         return 0
-    level = m_sum_vector(kernel.row(n, a), t)
-    if n <= _PLAN_N_MAX:
-        return sum(map(mul, _lift_plan(n)[j], level))
-    return _lift_at(level, n, j)
+    return _lift_at(m_sum_vector(kernel.row(n, a), t), n, j)
 
 
 @lru_cache(maxsize=1024)
@@ -300,16 +300,19 @@ def theorem2_transform(g_kernel: Kernel, n: int, j: int, a: int) -> int:
 def gessel_convolution(n: int, m: int, r: int) -> int:
     """The alternating Gessel convolution at composite index 2n:
     sum_k (-1)^k binomial(2n,k)^m P(k,r) P(2n-k,r)."""
+    _check_args(n=n)  # the half index, before it is doubled
     return direct_sum(gessel_kernel(r), 2 * n, m, r - 1)
 
 
 def supercat_convolution(n: int, m: int, r: int) -> int:
     """The alternating super Catalan convolution at composite index 2n:
     sum_k (-1)^k binomial(2n,k)^m S(k,r) S(2n-k,r)."""
+    _check_args(n=n)  # the half index, before it is doubled
     return direct_sum(supercat_kernel(r), 2 * n, m, r - 1)
 
 
 def quarter_psi(n: int, m: int, r: int) -> int:
     """One quarter of the super Catalan convolution, evaluated directly
     through half super Catalan numbers (never by dividing)."""
+    _check_args(n=n)  # the half index, before it is doubled
     return direct_sum(half_supercat_kernel(r), 2 * n, m, r - 1)

@@ -710,11 +710,14 @@ def _resolve_params(spec: SuiteSpec, sweep: SweepRange) -> tuple[dict[str, int],
 
 def _estimate(spec: SuiteSpec, params: dict[str, int]) -> tuple[int | float, float]:
     """The cases `spec` declares at `params` and their estimated ms: each at
-    the suite's cost, fitted at its default box, grown by (n_max + 1) /
-    (default n_max + 1), as a case's cost grows about linearly in n."""
+    the suite's cost, fitted at its default box, grown by (p + 1) / (default
+    p + 1) for p = n_max and m_max, as a case's cost grows about linearly in
+    n and in the weight m (longer powers)."""
     cases = spec.cases(params)
     try:
-        grow = (params["n_max"] + 1) / (spec.defaults["n_max"] + 1) if "n_max" in params else 1
+        grow = math.prod(
+            (params[p] + 1) / (spec.defaults[p] + 1) for p in ("n_max", "m_max") if p in params
+        )
         return cases, cases * spec.us_per_case * grow / 1000.0
     except OverflowError:  # past the float range, so no finite budget admits it
         return math.inf, math.inf

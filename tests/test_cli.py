@@ -70,6 +70,15 @@ def test_compute_usage_errors(capsys):
     assert code == 2 and out == ""
 
 
+def test_compute_refusals_name_the_value_given(capsys):
+    for quantity in ("phi", "psi", "quarter-psi"):
+        code, out, err = run(capsys, "compute", quantity, "--n", "-2")
+        assert (code, out) == (2, "")
+        assert err == "error: n must be non-negative, got -2\n"
+    code, _, err = run(capsys, "compute", "closed-form", "--family", "psi-t0", "--n", "2", "--r", "0")
+    assert (code, err) == (2, "error: r must be at least 1, got 0\n")
+
+
 def test_compute_failed_exact_division_exits_one(capsys, monkeypatch):
     # every binomial read as 1 leaves the phi-j-t0 total at 1/2
     monkeypatch.setattr(closed_forms, "binomial", lambda n, k: 1)

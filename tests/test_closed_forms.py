@@ -24,19 +24,10 @@ from convolvium.closed_forms import (
     FAMILY_PARAMS,
     ClosedFormFamily,
     closed_form,
-    closed_phi_origin,
-    closed_phi_t0,
-    closed_psi_t0,
-    closed_psi_t1,
-    closed_s1_t0,
-    closed_s1_t1,
-    closed_s2_t0,
-    closed_s2_t1,
-    closed_s3_t0,
     msum_counterpart,
 )
 from convolvium.exact import NonDivisible, binomial, half_super_catalan
-from convolvium.kernels import PARAMETERIZED_FAMILIES, _sign, custom_kernel
+from convolvium.kernels import PARAMETERIZED_FAMILIES, Kernel, _sign, custom_kernel
 
 
 def test_every_family_has_a_parameter_signature():
@@ -59,21 +50,21 @@ def test_every_family_has_one_msum_counterpart():
 
 def test_pinned_spot_values():
     # pinned from the direct M-sum route
-    assert closed_s1_t0(3, 3) == -1
-    assert closed_s1_t0(3, 2) == 0
-    assert closed_s1_t1(2, 1) == 12
-    assert closed_s2_t0(2, 1, 3) == 120
-    assert closed_s3_t0(2, 1) == -24
-    assert closed_psi_t0(1, 0, 1) == 8
-    assert closed_psi_t1(2, 1, 2) == 144
-    assert closed_phi_t0(2, 1, 2) == -90
-    assert closed_phi_origin(1, 1) == 2
+    assert closed_form("s1-t0", n=3, j=3) == -1
+    assert closed_form("s1-t0", n=3, j=2) == 0
+    assert closed_form("s1-t1", n=2, j=1) == 12
+    assert closed_form("s2-t0", n=2, j=1, a=3) == 120
+    assert closed_form("s3-t0", n=2, j=1) == -24
+    assert closed_form("psi-t0", n=1, j=0, r=1) == 8
+    assert closed_form("psi-t1", n=2, j=1, r=2) == 144
+    assert closed_form("phi-j-t0", n=2, j=1, r=2) == -90
+    assert closed_form("phi-00", n=1, r=1) == 2
 
 
 def test_phi_offset_form_takes_the_rational_path():
     # at n=3, j=0, r=2 an individual term of the inner sum is not an
     # integer; the total still is, and equals the offset-0 golden value
-    assert closed_phi_t0(3, 0, 2) == 1170
+    assert closed_form("phi-j-t0", n=3, j=0, r=2) == 1170
 
 
 def _phi_t0_by_fractions(n, j, r):
@@ -108,14 +99,15 @@ def test_phi_offset_form_matches_rational_reference():
     for n in range(25):
         for j in range(n + 2):
             for r in range(1, 9):
-                assert closed_phi_t0(n, j, r) == _phi_t0_by_fractions(n, j, r), (n, j, r)
+                value = closed_form(ClosedFormFamily.PHI_J_T0, n=n, j=j, r=r)
+                assert value == _phi_t0_by_fractions(n, j, r), (n, j, r)
 
 
 def test_phi_offset_form_raises_on_a_non_integral_total(monkeypatch):
     # with every binomial read as 1 the total is 1/2
     monkeypatch.setattr(closed_forms, "binomial", lambda n, k: 1)
     with pytest.raises(NonDivisible):
-        closed_phi_t0(1, 0, 1)
+        closed_form("phi-j-t0", n=1, j=0, r=1)
 
 
 # what `import convolvium` may not load: machinery that computes nothing.
@@ -149,7 +141,7 @@ def test_import_leaves_fractions_out():
 def test_phi_origin_agrees_with_offset_form_at_zero():
     for n in range(7):
         for r in range(1, 5):
-            assert closed_phi_origin(n, r) == closed_phi_t0(n, 0, r)
+            assert closed_form("phi-00", n=n, r=r) == closed_form("phi-j-t0", n=n, j=0, r=r)
 
 
 @pytest.mark.parametrize("family", list(ClosedFormFamily))
@@ -167,10 +159,10 @@ def test_closed_form_equals_m_sum(family):
 
 
 def test_vanishing_past_half_index():
-    assert closed_s2_t0(3, 4, 2) == 0
-    assert closed_s3_t0(3, 4) == 0
-    assert closed_psi_t0(3, 4, 2) == 0
-    assert closed_phi_t0(3, 4, 2) == 0
+    assert closed_form("s2-t0", n=3, j=4, a=2) == 0
+    assert closed_form("s3-t0", n=3, j=4) == 0
+    assert closed_form("psi-t0", n=3, j=4, r=2) == 0
+    assert closed_form("phi-j-t0", n=3, j=4, r=2) == 0
 
 
 def test_dispatcher_accepts_enum_and_string():
@@ -187,32 +179,61 @@ def test_msum_counterpart_kernel_override():
     assert value != msum_counterpart(ClosedFormFamily.S1_T0, n=2, j=0)
 
 
+# one bad argument per refusal, each with the family's other arguments valid
+_REFUSED = [
+    ("s1-t0", {"n": -1, "j": 0}),
+    ("psi-t0", {"n": 2, "j": 0, "r": 0}),
+    ("phi-j-t0", {"n": 2, "j": -1, "r": 1}),
+    ("phi-00", {"n": -1, "r": 1}),
+    ("phi-00", {"n": 2, "r": 0}),
+    ("phi-j-t0", {"n": 2, "j": 0, "r": 0}),
+    ("psi-t0", {"n": -1, "j": 0, "r": 1}),
+    ("s1-t1", {"n": -1, "j": 0}),
+    ("s2-t0", {"n": 2, "j": 0, "a": -1}),
+    ("s2-t1", {"n": 2, "j": -1, "a": 0}),
+    ("s3-t0", {"n": -1, "j": 0}),
+    ("psi-t1", {"n": 2, "j": 0, "r": 0}),
+    ("psi-t1", {"n": -1, "j": 0, "r": 1}),
+]
+
+
 def test_validation():
-    with pytest.raises(ValueError):
-        closed_s1_t0(-1, 0)
-    with pytest.raises(ValueError):
-        closed_psi_t0(2, 0, 0)
-    with pytest.raises(ValueError):
-        closed_phi_t0(2, -1, 1)
-    with pytest.raises(ValueError):
-        closed_phi_origin(-1, 1)
-    with pytest.raises(ValueError):
-        closed_phi_origin(2, 0)
-    with pytest.raises(ValueError):
-        closed_phi_t0(2, 0, 0)
-    with pytest.raises(ValueError):
-        closed_psi_t0(-1, 0, 1)
-    with pytest.raises(ValueError):
-        closed_s1_t1(-1, 0)
-    with pytest.raises(ValueError):
-        closed_s2_t0(2, 0, -1)
-    with pytest.raises(ValueError):
-        closed_s2_t1(2, -1, 0)
-    with pytest.raises(ValueError):
-        closed_s3_t0(-1, 0)
-    with pytest.raises(ValueError):
-        closed_psi_t1(2, 0, 0)
-    with pytest.raises(ValueError):
-        closed_psi_t1(-1, 0, 1)
+    for family, args in _REFUSED:
+        with pytest.raises(ValueError):
+            closed_form(family, **args)
+        with pytest.raises(ValueError):
+            msum_counterpart(family, **args)
     with pytest.raises(ValueError):
         closed_form("no-such-family", n=1)
+    with pytest.raises(ValueError):
+        msum_counterpart("no-such-family", n=1)
+
+
+def _refusal(call, *args, **kwargs) -> str:
+    with pytest.raises(ValueError) as caught:
+        call(*args, **kwargs)
+    return str(caught.value)
+
+
+@pytest.mark.parametrize("family", list(ClosedFormFamily))
+def test_both_sides_refuse_a_bad_argument_alike(family):
+    # the smallest invalid value of each parameter the family takes, the
+    # others valid: the closed form and its M-sum, with the standard kernel
+    # or with the same kernel passed in, name that parameter and the value
+    # the caller passed, never a derived one (2n, or a = r - 1)
+    valid = {"n": 2, "j": 1, "r": 2, "a": 1}
+    kfam = FAMILIES[family][1]
+    kern = Kernel(kfam, order=valid["r"]) if kfam in PARAMETERIZED_FAMILIES else Kernel(kfam)
+    bad = {"n": -1, "j": -1, "r": 0, "a": -1}
+    for name in FAMILY_PARAMS[family]:
+        args = {**valid, name: bad[name]}
+        message = _refusal(closed_form, family, **args)
+        assert message.startswith(f"{name} must be "), message
+        assert message.endswith(f", got {bad[name]}"), message
+        assert _refusal(msum_counterpart, family, **args) == message
+        assert _refusal(msum_counterpart, family, kernel=kern, **args) == message
+    # a parameter the family does not take is neither checked nor read
+    for name in set(valid) - set(FAMILY_PARAMS[family]):
+        args = {**valid, name: bad[name]}
+        assert closed_form(family, **args) == closed_form(family, **valid)
+        assert msum_counterpart(family, **args) == msum_counterpart(family, **valid)

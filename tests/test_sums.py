@@ -480,6 +480,13 @@ def test_quarter_psi_dual_route():
                 assert quarter == exact_div(psi, 4)
 
 
+@pytest.mark.parametrize("convolution", [gessel_convolution, supercat_convolution, quarter_psi])
+def test_a_convolution_names_the_half_index_it_was_given(convolution):
+    # the sum runs at 2n, but the caller passed n
+    with pytest.raises(ValueError, match=r"^n must be non-negative, got -2$"):
+        convolution(-2, 1, 1)
+
+
 # ----------------------------------------------------------------------- m_sum
 
 
@@ -874,6 +881,21 @@ def test_plan_caches_stay_small_after_the_default_sweep():
                 for c in coeffs:
                     hold(c)
     assert sum(held.values()) <= 100_000
+
+
+def test_the_default_sweep_stays_on_the_plans(monkeypatch):
+    # every recurrence call a default `verify all` makes lies inside the plan
+    # box; a suite default or a plan bound that moved it outside would land
+    # in the per-offset or walked code, which is slower but gives the same
+    # numbers, so only these stubs notice
+    def off_the_plans(*args):
+        raise AssertionError("the default sweep left the plan box")
+
+    walked = ("_m_sums_walked", "_lifts_walked")
+    for name in ("_weigh", "_m_sum_at", "_lift_at", "_transplant_at", *walked):
+        monkeypatch.setattr(sums, name, off_the_plans)
+    for suite in ("eq7", "eq8", "thm2", "closed-forms"):
+        assert run_suite(suite).passed
 
 
 def test_binomial_pair_row_validation():

@@ -170,6 +170,26 @@ def test_the_estimate_admits_cheap_wide_boxes_and_refuses_costly_ones(monkeypatc
         run_suite("eq8", SweepRange(n_max=50), budget_ms=0)
 
 
+def test_the_estimate_grows_with_the_weight(monkeypatch):
+    monkeypatch.delenv("CONVOLVIUM_BUDGET_MS", raising=False)
+    _unrunnable(monkeypatch)
+    # a case's powers grow with m: hours of work, refused before any runs
+    for name in ("calkin", "theorem1", "eq7"):
+        with pytest.raises(RangeTooLarge, match="budget"):
+            run_suite(name, SweepRange(m_max=100_000))
+
+
+def test_the_estimate_keeps_up_with_the_weight():
+    # calkin's cost per case grows with m as well as n: the estimate must
+    # stay at least half the run time as m grows past the default 5
+    spec = verify._REGISTRY["calkin"]
+    for m_max in (10, 50, 200, 400):
+        sweep = SweepRange(m_max=m_max)
+        est_ms = verify._estimate(spec, verify._resolve_params(spec, sweep)[0])[1]
+        actual_ms = run_suite("calkin", sweep).elapsed_ms
+        assert est_ms / actual_ms >= 0.5, (m_max, est_ms, actual_ms)
+
+
 def test_report_fields_and_range():
     rep = run_suite("theorem1", SweepRange(n_max=3, m_max=1, r_max=1))
     assert rep.suite == "theorem1"
