@@ -171,6 +171,8 @@ def _cmd_compute(args: argparse.Namespace) -> int:
             raise _UsageError("compute msum requires --kernel")
         family = KernelFamily(args.kernel)
         order = _opt(args.r, 1) if family in PARAMETERIZED_FAMILIES else None
+        if order is not None and order < 1:
+            raise _UsageError(f"r must be at least 1, got {order}")
         kern = Kernel(family, order=order)
         value = m_sum(kern, _need(args, "n", q), _opt(args.j, 0), _opt(args.t, 0), _opt(args.a, 0))
     else:  # closed-form

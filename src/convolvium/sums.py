@@ -21,11 +21,10 @@ The engine works on kernel rows: each sum reads the row F(n, 0..n, a) once.
 The vector forms return a whole offset range at once: `m_sum_vector` the
 M-sums at j = 0..n//2 of one row and level, `m_sum_lift_vector` the next
 level up from one level-t vector, and `theorem2_transform_vector` the
-transplant at j = 0..n from one level-0 vector of G. The scalar functions
-read the same coefficients for the offsets they need: `m_sum` its offset's
-row of the M-sum plan inside the box below, and `m_sum_lift` and
-`theorem2_transform`, which no suite calls, their offset's O(n) Pascal row
-at every n (`_lift_at`, `_transplant_at`).
+transplant at j = 0..n from one level-0 vector of G. Scalar `m_sum` reads
+its offset's row of the M-sum plan inside the box below; scalar `m_sum_lift`
+and `theorem2_transform`, which no suite calls, return one entry of their
+vector form, so each recurrence has one evaluation path.
 
 Coefficients that depend only on indices come from bounded caches.
 `_pascal(n)` holds binomial(n, 0..n), walked like a kernel row by one exact
@@ -43,10 +42,10 @@ product with the row or vector it reads:
 
 with zeros below the diagonal (k < j, i < j). A default `verify all` leaves
 about 0.07 MB of plans. Outside the box the recurrences weigh the row once
-per call and keep no plan: the scalar forms read an offset's O(n) row from
-`_pascal`, while the vector forms, which would read n//2 + 1 rows per call
-and soon evict them from each other, build what they need inside the call
-by the Pascal rule (`_m_sums_walked`, `_lifts_walked`).
+per call and keep no plan. Scalar `m_sum` reads its offset's O(n) row from
+`_pascal`; the M-sum and lift vectors, which would read n//2 + 1 such rows
+per call and evict them from each other, walk them inside the call by the
+Pascal rule (`_m_sums_walked`, `_lifts_walked`).
 `direct_sum` keeps its own binomial(n, k)^m weights, apart from the plans,
 so eq7 compares two separately built sums.
 
@@ -59,7 +58,7 @@ from __future__ import annotations
 from functools import lru_cache
 from math import comb
 from operator import add, mul
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .kernels import (
     Kernel,
@@ -189,11 +188,6 @@ def _lift_plan(n: int) -> tuple[tuple[int, ...], ...]:
     ])
 
 
-def _lift_at(level: Sequence[int], n: int, j: int) -> int:
-    # binomial(n-j, u) times the level-t offset j+u, for u = 0..n//2 - j
-    return comb(n, j) * sum(map(mul, _pascal(n - j), level[j:]))
-
-
 def _lifts_walked(level: Sequence[int], n: int) -> tuple[int, ...]:
     """The lifts at offsets j = 0..n//2, innermost offset first, from one
     Pascal row. With h = n//2, Vandermonde's binomial(n-j, u) = sum_k
@@ -225,12 +219,11 @@ def m_sum_lift_vector(level: Sequence[int], n: int) -> tuple[int, ...]:
 
 
 def m_sum_lift(kernel: Kernel, n: int, j: int, t: int, a: int = 0) -> int:
-    """The level-raise recurrence: evaluates the offset-j M-sum at level t+1
-    from the level-t M-sums at offsets j..j+floor((n-2j)/2)."""
+    """The level-raise recurrence at offset j: entry j of the lift vector."""
     _check_args(n=n, j=j, t=t, a=a)
     if 2 * j > n:
         return 0
-    return _lift_at(m_sum_vector(kernel.row(n, a), t), n, j)
+    return m_sum_lift_vector(m_sum_vector(kernel.row(n, a), t), n)[j]
 
 
 @lru_cache(maxsize=1024)
@@ -276,7 +269,7 @@ def theorem2_transform_vector(level0: Sequence[int], n: int, a: int) -> tuple[in
 
 
 def theorem2_transform(g_kernel: Kernel, n: int, j: int, a: int) -> int:
-    """The kernel-transplant recurrence.
+    """The kernel-transplant recurrence at one offset.
 
     For H(n,k,a) = binomial(a+k,a) binomial(a+n-k,a) G(n,k,a), the offset-j
     level-0 M-sum of H equals
@@ -284,35 +277,39 @@ def theorem2_transform(g_kernel: Kernel, n: int, j: int, a: int) -> int:
         binomial(a+j, a) * sum_{l=0}^{a}
             binomial(n-j+l, l) binomial(n-j, a-l) M_G(n, j+a-l, 0; a)
 
-    which this evaluates from the G side, reading only the offsets
-    j..min(j+a, n//2) of G's level-0 M-sums: O(a n) work. Offsets past n/2
-    yield 0 without reading G: every M-sum of G the sum needs sits at an
-    offset >= j, where it vanishes.
+    which is entry j of `theorem2_transform_vector` over G's level-0
+    M-sums, O(n^2) work outside the plan box. Offsets past n/2 yield 0
+    without reading G: every M-sum of G the sum needs sits at an offset >= j,
+    where it vanishes.
     """
     _check_args(n=n, j=j, a=a)
     if 2 * j > n:
         return 0
-    row = g_kernel.row(n, a)
-    tail = [_m_sum_at(row, n, i) for i in range(j, min(j + a, n // 2) + 1)]
-    return _transplant_at(tail, n, j, a)
+    return theorem2_transform_vector(m_sum_vector(g_kernel.row(n, a), 0), n, a)[j]
+
+
+def _convolution(kernel_of: Callable[[int], Kernel], n: int, m: int, r: int) -> int:
+    # the wrappers' own arguments: the half index, before it is doubled, and
+    # the order, before it names a kernel
+    _check_args(n=n)
+    if r < 1:
+        raise ValueError(f"r must be at least 1, got {r}")
+    return direct_sum(kernel_of(r), 2 * n, m, r - 1)
 
 
 def gessel_convolution(n: int, m: int, r: int) -> int:
     """The alternating Gessel convolution at composite index 2n:
     sum_k (-1)^k binomial(2n,k)^m P(k,r) P(2n-k,r)."""
-    _check_args(n=n)  # the half index, before it is doubled
-    return direct_sum(gessel_kernel(r), 2 * n, m, r - 1)
+    return _convolution(gessel_kernel, n, m, r)
 
 
 def supercat_convolution(n: int, m: int, r: int) -> int:
     """The alternating super Catalan convolution at composite index 2n:
     sum_k (-1)^k binomial(2n,k)^m S(k,r) S(2n-k,r)."""
-    _check_args(n=n)  # the half index, before it is doubled
-    return direct_sum(supercat_kernel(r), 2 * n, m, r - 1)
+    return _convolution(supercat_kernel, n, m, r)
 
 
 def quarter_psi(n: int, m: int, r: int) -> int:
     """One quarter of the super Catalan convolution, evaluated directly
     through half super Catalan numbers (never by dividing)."""
-    _check_args(n=n)  # the half index, before it is doubled
-    return direct_sum(half_supercat_kernel(r), 2 * n, m, r - 1)
+    return _convolution(half_supercat_kernel, n, m, r)

@@ -77,6 +77,13 @@ def test_compute_refusals_name_the_value_given(capsys):
         assert err == "error: n must be non-negative, got -2\n"
     code, _, err = run(capsys, "compute", "closed-form", "--family", "psi-t0", "--n", "2", "--r", "0")
     assert (code, err) == (2, "error: r must be at least 1, got 0\n")
+    # an order below 1 in the caller's terms, not the kernel's
+    for quantity in ("phi", "psi", "quarter-psi"):
+        code, out, err = run(capsys, "compute", quantity, "--n", "2", "--r", "0")
+        assert (code, out, err) == (2, "", "error: r must be at least 1, got 0\n")
+    for kernel in ("gessel", "supercat", "half-supercat"):
+        code, out, err = run(capsys, "compute", "msum", "--kernel", kernel, "--n", "2", "--r", "0")
+        assert (code, out, err) == (2, "", "error: r must be at least 1, got 0\n")
 
 
 def test_compute_failed_exact_division_exits_one(capsys, monkeypatch):

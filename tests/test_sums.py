@@ -667,19 +667,6 @@ def test_scalar_transplant_is_the_vector_entry():
                     assert theorem2_transform(sparse, n, j, a) == 0
 
 
-def test_scalar_transplant_reads_only_the_offsets_it_needs(monkeypatch):
-    # offset j reads G's level-0 M-sums at j..min(j+a, n/2): a+1 of them at
-    # most, not the whole vector
-    calls = []
-    real = sums._m_sum_at
-    monkeypatch.setattr(sums, "_m_sum_at", lambda w, n, i: calls.append(i) or real(w, n, i))
-    g = central_kernel()
-    for n, j, a in ((60, 3, 2), (60, 29, 4), (61, 0, 0), (9, 1, 6)):
-        calls.clear()
-        theorem2_transform(g, n, j, a)
-        assert calls == list(range(j, min(j + a, n // 2) + 1))
-
-
 # ----------------------------------------------------------- coefficient tables
 #
 # The vector forms and the dressed row read binomial coefficients from
@@ -780,8 +767,9 @@ def test_plan_coefficients_match_comb():
 @pytest.mark.parametrize("n", range(sums._PLAN_N_MAX + 2))
 def test_plans_match_the_per_offset_code(n):
     # inside the box the vector and scalar forms read plans; the per-offset
-    # code they use outside it is the reference. n = _PLAN_N_MAX + 1, t = 4
-    # and a = 4 lie just past the box, where both sides are that code.
+    # code used outside it is the reference, and for the lift, which has no
+    # per-offset code, the math.comb level one up. n = _PLAN_N_MAX + 1,
+    # t = 4 and a = 4 lie just past the box, where both sides are that code.
     rng = random.Random(n)
     rows = (gessel_kernel(3).row(n, 2), tuple(rng.randint(-(10**9), 10**9) for _ in range(n + 1)))
     half = n // 2
@@ -792,7 +780,7 @@ def test_plans_match_the_per_offset_code(n):
             level = m_sum_vector(row, t)
             assert level == tuple(sums._m_sum_at(weighted, n, j) for j in range(half + 1))
             assert [m_sum(kern, n, j, t) for j in range(half + 1)] == list(level)
-            lifted = tuple(sums._lift_at(level, n, j) for j in range(half + 1))
+            lifted = _comb_level(row, t + 1)
             assert m_sum_lift_vector(level, n) == lifted
             assert [m_sum_lift(kern, n, j, t) for j in range(half + 1)] == list(lifted)
         level0 = m_sum_vector(row, 0)
@@ -819,8 +807,9 @@ def test_calls_outside_the_plan_box_keep_no_plan():
 @pytest.mark.parametrize("n", [13, 14, 65, 100, 200])
 def test_walked_pascal_rows_match_the_per_offset_code(n):
     # outside the plan box the vector forms walk their Pascal rows inside the
-    # call; the per-offset code of the scalar forms, which reads each row
-    # from `_pascal`, is the reference for the walk
+    # call; the per-offset code of scalar `m_sum`, which reads each row from
+    # `_pascal`, is the reference for the M-sum walk, and math.comb for the
+    # lift walk and for the transplant, whose per-offset code is under test
     rng = random.Random(n)
     rows = (gessel_kernel(3).row(n, 2), tuple(rng.randint(-(10**9), 10**9) for _ in range(n + 1)))
     half = n // 2
@@ -829,8 +818,11 @@ def test_walked_pascal_rows_match_the_per_offset_code(n):
             weighted = sums._weigh(row, t)
             level = tuple(sums._m_sum_at(weighted, n, j) for j in range(half + 1))
             assert sums._m_sums_walked(weighted, n) == level == m_sum_vector(row, t)
-            lifted = tuple(sums._lift_at(level, n, j) for j in range(half + 1))
+            lifted = _comb_level(row, t + 1)
             assert sums._lifts_walked(level, n) == lifted == m_sum_lift_vector(level, n)
+        level0 = m_sum_vector(row, 0)
+        for a in (0, 3, 4, 6):
+            assert theorem2_transform_vector(level0, n, a) == _comb_transplant(level0, n, a)
 
 
 @pytest.mark.parametrize("n", [100, 200])
@@ -892,7 +884,7 @@ def test_the_default_sweep_stays_on_the_plans(monkeypatch):
         raise AssertionError("the default sweep left the plan box")
 
     walked = ("_m_sums_walked", "_lifts_walked")
-    for name in ("_weigh", "_m_sum_at", "_lift_at", "_transplant_at", *walked):
+    for name in ("_weigh", "_m_sum_at", "_transplant_at", *walked):
         monkeypatch.setattr(sums, name, off_the_plans)
     for suite in ("eq7", "eq8", "thm2", "closed-forms"):
         assert run_suite(suite).passed
