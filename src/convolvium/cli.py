@@ -19,7 +19,7 @@ import sys
 from pathlib import Path
 from typing import Iterable
 
-from .closed_forms import ClosedFormFamily, closed_form
+from .closed_forms import FAMILY_PARAMS, ClosedFormFamily, closed_form
 from .exact import (
     binomial,
     catalan,
@@ -51,6 +51,18 @@ _CONVOLUTIONS = {
 # the quantities both compute and table offer
 _SHARED_QUANTITIES = ("binomial", "catalan", "supercatalan", "gessel", *_CONVOLUTIONS)
 
+# the options each compute quantity reads: msum also reads --r for an
+# ordered kernel, closed-form its family's FAMILY_PARAMS
+_COMPUTE_OPTIONS: dict[str, tuple[str, ...]] = {
+    "binomial": ("n", "k"),
+    "catalan": ("n",),
+    "supercatalan": ("n", "r"),
+    "gessel": ("n", "r"),
+    **dict.fromkeys(_CONVOLUTIONS, ("n", "m", "r")),
+    "msum": ("kernel", "n", "j", "t", "a"),
+    "closed-form": ("family",),
+}
+
 # kernel families constructible from the command line (custom needs a table)
 _CLI_KERNELS = tuple(f.value for f in KernelFamily if f is not KernelFamily.CUSTOM)
 
@@ -73,9 +85,10 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Evaluate one quantity exactly and print it in decimal. "
         "phi, psi, and quarter-psi take the half index n (the sum runs to "
         "2n) with defaults m=1, r=1; msum takes the full index n with "
-        "defaults j=0, t=0, a=0 and uses --r as the kernel order.",
+        "defaults j=0, t=0, a=0 and uses --r as an ordered kernel's order. "
+        "An option the quantity does not read is a usage error.",
     )
-    comp.add_argument("quantity", choices=(*_SHARED_QUANTITIES, "msum", "closed-form"))
+    comp.add_argument("quantity", choices=tuple(_COMPUTE_OPTIONS))
     comp.add_argument("--n", type=int, help="main index")
     comp.add_argument("--k", type=int, help="binomial lower index")
     comp.add_argument("--m", type=int, help="binomial weight exponent (default 1)")
@@ -151,7 +164,33 @@ def _opt(value: int | None, default: int) -> int:
     return default if value is None else value
 
 
+def _check_options(args: argparse.Namespace) -> None:
+    """Refuse an option the quantity does not read, so no value is printed
+    for parameters other than the ones given."""
+    q = args.quantity
+    what, takes = q, _COMPUTE_OPTIONS[q]
+    if q == "msum":
+        if args.kernel is None:
+            raise _UsageError("compute msum requires --kernel")
+        what = f"msum --kernel {args.kernel}"
+        if KernelFamily(args.kernel) in PARAMETERIZED_FAMILIES:
+            takes += ("r",)
+    elif q == "closed-form":
+        if args.family is None:
+            raise _UsageError("compute closed-form requires --family")
+        what = f"closed-form --family {args.family}"
+        takes += FAMILY_PARAMS[ClosedFormFamily(args.family)]
+    unread = [
+        f"--{name}"
+        for name, value in vars(args).items()
+        if name not in ("command", "quantity", *takes) and value is not None
+    ]
+    if unread:
+        raise _UsageError(f"compute {what} does not take {' or '.join(unread)}")
+
+
 def _cmd_compute(args: argparse.Namespace) -> int:
+    _check_options(args)
     q = args.quantity
     if q == "binomial":
         value = binomial(_need(args, "n", q), _need(args, "k", q))
@@ -167,8 +206,6 @@ def _cmd_compute(args: argparse.Namespace) -> int:
         r = _opt(args.r, 1)
         value = _CONVOLUTIONS[q](n, m, r)
     elif q == "msum":
-        if args.kernel is None:
-            raise _UsageError("compute msum requires --kernel")
         family = KernelFamily(args.kernel)
         order = _opt(args.r, 1) if family in PARAMETERIZED_FAMILIES else None
         if order is not None and order < 1:
@@ -176,8 +213,6 @@ def _cmd_compute(args: argparse.Namespace) -> int:
         kern = Kernel(family, order=order)
         value = m_sum(kern, _need(args, "n", q), _opt(args.j, 0), _opt(args.t, 0), _opt(args.a, 0))
     else:  # closed-form
-        if args.family is None:
-            raise _UsageError("compute closed-form requires --family")
         value = closed_form(
             ClosedFormFamily(args.family),
             n=_need(args, "n", q),

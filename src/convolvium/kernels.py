@@ -19,8 +19,8 @@ and one checked exact division per entry. The point functions in `exact`
 (`gessel`, `super_catalan`, ...) stay on math.comb, an independent
 reference for the rows. A custom kernel stores whole rows; `custom_kernel`
 checks a point table once and converts it. `binomial_pair_row` dresses a
-row with the weights binomial(a+k, a) binomial(a+n-k, a), built once per
-(n, a).
+row with the weights binomial(a+k, a) binomial(a+n-k, a), built on each
+call: the verifier dresses each (n, a) once or twice per suite.
 
 Built-in rows are memoised in `_builtin_row`, an lru_cache of 16 rows
 keyed by (family, order, n, a); custom kernels store their rows and bypass
@@ -257,20 +257,13 @@ def with_bump(kernel: Kernel, point: Point, delta: int = 1) -> Kernel:
     return Kernel(kernel.family, kernel.order, kernel.rows, (point, delta))
 
 
-@lru_cache(maxsize=256)
-def _pair_weights(n: int, a: int) -> tuple[int, ...]:
-    """binomial(a+k, a) binomial(a+n-k, a) for k = 0..n. A thm2 sweep dresses
-    one row per random kernel at every (n, a), so each vector is read once
-    per kernel; the bound covers a default sweep's slices."""
-    return tuple([binomial(a + k, a) * binomial(a + n - k, a) for k in range(n + 1)])
-
-
 def binomial_pair_row(row: Sequence[int], a: int) -> tuple[int, ...]:
     """The row H(n, 0..n, a) of H(n, k, a) = binomial(a+k, a) binomial(a+n-k, a)
     G(n, k, a), from G's row (G(n, 0, a), ..., G(n, n, a))."""
     if not row or a < 0:
         raise ValueError(f"a binomial pair needs a non-empty row and a >= 0, got a={a}")
-    return tuple(map(mul, _pair_weights(len(row) - 1, a), row))
+    rising = [binomial(a + k, a) for k in range(len(row))]
+    return tuple(map(mul, map(mul, rising, reversed(rising)), row))
 
 
 def binomial_pair_kernel(g: Kernel, n: int, a: int) -> Kernel:

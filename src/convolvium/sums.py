@@ -26,14 +26,14 @@ its offset's row of the M-sum plan inside the box below; scalar `m_sum_lift`
 and `theorem2_transform`, which no suite calls, return one entry of their
 vector form, so each recurrence has one evaluation path.
 
-Coefficients that depend only on indices come from bounded caches.
-`_pascal(n)` holds binomial(n, 0..n), walked like a kernel row by one exact
-step per entry, and `_transplant_weights(n, j, a)` the a+1 transplant
-coefficients of one offset. Inside the box a default `verify all` sweeps
-(n <= 12, level t <= 3, transplant a <= 3), each recurrence instead reads a
-memoised "plan": its coefficient matrix, row j holding every input's
-coefficient in offset j already multiplied out, so an offset costs one dot
-product with the row or vector it reads:
+Coefficients depend only on indices. `_pascal(n)`, a bounded cache, holds
+binomial(n, 0..n), walked like a kernel row by one exact step per entry;
+`_transplant_weights(n, j, a)`, the a+1 transplant coefficients of one
+offset, is built where it is read. Inside the box a default `verify all`
+sweeps (n <= 12, level t <= 3, transplant a <= 3), each recurrence instead
+reads a memoised "plan": its coefficient matrix, row j holding every
+input's coefficient in offset j already multiplied out, so an offset costs
+one dot product with the row or vector it reads:
 
     _m_plan(n, t)[j][k]          binomial(n-j, j) binomial(n-2j, k-j)
                                  binomial(n, k)^t
@@ -226,15 +226,12 @@ def m_sum_lift(kernel: Kernel, n: int, j: int, t: int, a: int = 0) -> int:
     return m_sum_lift_vector(m_sum_vector(kernel.row(n, a), t), n)[j]
 
 
-@lru_cache(maxsize=1024)
 def _transplant_weights(n: int, j: int, a: int) -> tuple[int, ...]:
     """The coefficients of G's level-0 offsets j+u, u = 0..min(a, n//2 - j),
     in the offset-j transplant (2j <= n): binomial(a+j, a) binomial(n-j+l, l)
     binomial(n-j, a-l) at l = a-u; an entry holds at most a+1 integers.
-    Inside the plan box only a plan's build reads it, once per (n, j, a), so
-    neither benchmark workload hits it. Outside the box each of thm2's random
-    kernels reads every (n, j, a) again: in-process, `verify thm2 --n-max 24`
-    took 0.136 s with this cache and 0.167 s without it."""
+    Inside the plan box only a plan's build reads them; outside it each
+    call reads one offset's weights once."""
     lead = comb(a + j, a)
     top = min(a, n // 2 - j)
     return tuple([lead * comb(n - j + a - u, a - u) * comb(n - j, u) for u in range(top + 1)])

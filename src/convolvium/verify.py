@@ -13,7 +13,10 @@ every bump is caught: eq7 and eq8 hold for any kernel and the other suites
 read kernel rows only at even n, so a bump at odd n, or on a kernel the box
 never builds, leaves every suite green. Randomized suites (eq8, thm2) derive
 their kernels from a seeded generator, so reports are reproducible byte for
-byte.
+byte. They check all their random kernels at once, on one packed row per
+(n, a) (`_fuzz_agrees`), and check them one at a time only where the packed
+sides disagree, so a failing report lists what the kernel-by-kernel sweep
+lists. Every suite runs in the calling process.
 
 Runtime protection: each suite declares the cases it checks at a resolved
 range. Before running, it refuses (RangeTooLarge) if their estimated time
@@ -24,13 +27,12 @@ environment variable when set and 600000 ms otherwise.
 from __future__ import annotations
 
 import io
-import marshal
 import math
 import os
 import random
 import time
 from itertools import chain
-from operator import mul
+from operator import lshift, mul
 from typing import Callable, NamedTuple, Sequence
 
 from . import closed_forms as cf
@@ -306,28 +308,13 @@ def _j_major(vectors: list[tuple[int, ...]]) -> tuple[int, ...]:
     return tuple(chain.from_iterable(zip(*vectors, strict=True)))
 
 
-def _run_eq8(ctx: _SuiteCtx) -> None:
-    p = ctx.params
-    entries: list[tuple[str, Kernel, int]] = [
-        (kern.label, kern, a) for kern, a in _builtin_kernels(ctx)
-    ]
-    rng = ctx.rng()
-    for i in range(FUZZ_KERNEL_COUNT):
-        entries.append((f"custom[{i}]", random_kernel(rng, p["n_max"], 0), 0))
-    levels_up = p["m_max"]
-    for label, kern, a in entries:
-        for n in range(p["n_max"] + 1):
-            # direct side: every level straight from the row; recurrence
-            # side: level t+1 from the level-t vector alone
-            row = kern.row(n, a)
-            levels = [m_sum_vector(row, t) for t in range(levels_up + 1)]
-            lifted = [m_sum_lift_vector(levels[t], n) for t in range(levels_up)]
-
-            def params_at(i: int) -> dict:
-                j, t = divmod(i, levels_up)
-                return {"kernel": label, "n": n, "j": j, "t": t, "a": a}
-
-            ctx.equal_all(_j_major(levels[1:]), _j_major(lifted), params_at)
+def _eq8_sides(row: Sequence[int], levels_up: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Both sides of eq8 for one kernel row, offset-major (`_j_major`): the
+    levels 1..levels_up straight from the row, and each of them lifted from
+    the level-t vector below it alone."""
+    levels = [m_sum_vector(row, t) for t in range(levels_up + 1)]
+    lifted = [m_sum_lift_vector(levels[t], len(row) - 1) for t in range(levels_up)]
+    return _j_major(levels[1:]), _j_major(lifted)
 
 
 def _transplant_sides(
@@ -341,16 +328,93 @@ def _transplant_sides(
     return direct, moved
 
 
+def _thm2_sides(g_row: tuple[int, ...], n: int, a: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Both sides of thm2 for one row of g: g dressed with its binomial pair."""
+    return _transplant_sides(binomial_pair_row(g_row, a), g_row, n, a)
+
+
+# random_kernel draws every entry from [-9, 9]
+_FUZZ_ENTRY_MAX = 9
+
+
+def _packed(rows: list[tuple[int, ...]], bits: int) -> tuple[int, ...]:
+    """Equal-length rows as one row: entry k is sum_i rows[i][k] 2^(bits i),
+    so row i sits in the signed bits-wide slot i of every entry."""
+    shifts = [bits * i for i in range(len(rows))]
+    return tuple([sum(map(lshift, column, shifts)) for column in zip(*rows)])
+
+
+# sides(row, n, a): the two sides of an identity for one kernel row at (n, a)
+_Sides = Callable[[tuple[int, ...], int, int], tuple[Sequence[int], Sequence[int]]]
+
+
+def _slot_bits(sides: _Sides, n: int, a: int) -> int:
+    """The slot width for rows packed at (n, a): both sides' outputs on the
+    row (9, ..., 9) lie below 2^(bits-1)."""
+    bound = max(map(abs, chain(*sides((_FUZZ_ENTRY_MAX,) * (n + 1), n, a))))
+    return bound.bit_length() + 1
+
+
+def _fuzz_agrees(
+    ctx: _SuiteCtx, kernels: list[Kernel], boxes: list[tuple[int, int]], sides: _Sides
+) -> bool:
+    """Whether sides(row, n, a) gives two equal sequences for the row at
+    (n, a) of every kernel, at every (n, a) in `boxes`; if so, their cases
+    are counted as the per-kernel loop counts them.
+
+    Each side is linear in the row, and every coefficient in it is
+    non-negative, so the kernels' rows at one (n, a) go through both sides
+    at once, packed into one row (`_packed`; Kronecker substitution). A
+    slot of a side's output is then that side applied to one kernel's row,
+    so its magnitude is at most that side applied to the row (9, ..., 9).
+    With 2^(bits-1) above both sides' bounds (`_slot_bits`) every slot has
+    one value, and two packed outputs are equal exactly when every slot
+    agrees."""
+    cases = 0
+    for n, a in boxes:
+        row = _packed([kern.row(n, a) for kern in kernels], _slot_bits(sides, n, a))
+        direct, other = sides(row, n, a)
+        if direct != other:
+            return False
+        cases += len(direct)
+    ctx.cases += cases * len(kernels)
+    return True
+
+
+def _run_eq8(ctx: _SuiteCtx) -> None:
+    p = ctx.params
+    levels_up = p["m_max"]
+
+    def check(label: str, kern: Kernel, a: int) -> None:
+        for n in range(p["n_max"] + 1):
+
+            def params_at(i: int) -> dict:
+                j, t = divmod(i, levels_up)
+                return {"kernel": label, "n": n, "j": j, "t": t, "a": a}
+
+            ctx.equal_all(*_eq8_sides(kern.row(n, a), levels_up), params_at)
+
+    for kern, a in _builtin_kernels(ctx):
+        check(kern.label, kern, a)
+    rng = ctx.rng()
+    fuzz = [random_kernel(rng, p["n_max"], 0) for _ in range(FUZZ_KERNEL_COUNT)]
+    boxes = [(n, 0) for n in range(p["n_max"] + 1)]
+    # the random kernels one by one only where their packed sides disagree
+    if not _fuzz_agrees(ctx, fuzz, boxes, lambda row, n, a: _eq8_sides(row, levels_up)):
+        for i, kern in enumerate(fuzz):
+            check(f"custom[{i}]", kern, 0)
+
+
 def _run_thm2(ctx: _SuiteCtx) -> None:
     p = ctx.params
     rng = ctx.rng()
-    for i in range(FUZZ_KERNEL_COUNT):
-        g = random_kernel(rng, p["n_max"], p["a_max"])
-        for n in range(p["n_max"] + 1):
-            for a in range(p["a_max"] + 1):
-                g_row = g.row(n, a)
+    fuzz = [random_kernel(rng, p["n_max"], p["a_max"]) for _ in range(FUZZ_KERNEL_COUNT)]
+    boxes = [(n, a) for n in range(p["n_max"] + 1) for a in range(p["a_max"] + 1)]
+    if not _fuzz_agrees(ctx, fuzz, boxes, _thm2_sides):
+        for i, g in enumerate(fuzz):
+            for n, a in boxes:
                 ctx.equal_all(
-                    *_transplant_sides(binomial_pair_row(g_row, a), g_row, n, a),
+                    *_thm2_sides(g.row(n, a), n, a),
                     lambda j: {"kernel": f"custom[{i}]", "n": n, "j": j, "a": a},
                 )
     # the named instance: the gessel(r) kernel is the binomial-pair dressing
@@ -617,7 +681,7 @@ _REGISTRY: dict[str, SuiteSpec] = {
             # kernel (plain, central, rising at each a, three ordered at each r)
             lambda p: (3 + p["a_max"] + 3 * p["r_max"] + FUZZ_KERNEL_COUNT)
             * p["m_max"] * ((p["n_max"] + 2) ** 2 // 4),
-            4.3,
+            2.0,
         ),
         SuiteSpec(
             "thm2",
@@ -628,7 +692,7 @@ _REGISTRY: dict[str, SuiteSpec] = {
             # j <= n at each (n, a) per fuzz kernel, j <= h at n = 2h <= 12 per r
             lambda p: FUZZ_KERNEL_COUNT * (p["a_max"] + 1) * math.comb(p["n_max"] + 2, 2)
             + p["r_max"] * math.comb(min(6, p["n_max"]) + 2, 2),
-            3.5,
+            1.2,
         ),
         SuiteSpec(
             "eq2-eq4",
@@ -821,97 +885,6 @@ def _run_or_abort(
         )
 
 
-def _shares(sweep: SweepRange) -> tuple[list[str], list[str]]:
-    """Every suite, split between two processes: longest `_estimate` first,
-    each to the side with the smaller estimated total (ties to the first
-    side). A pure function of the registry and the resolved box."""
-    est: dict[str, float] = {}
-    for name, spec in _REGISTRY.items():
-        try:
-            est[name] = _estimate(spec, _resolve_params(spec, sweep)[0])[1]
-        except Exception:  # the suite raises again when it runs, and aborts
-            est[name] = 0.0
-    sides: tuple[list[str], list[str]] = ([], [])
-    totals = [0.0, 0.0]
-    for name in sorted(est, key=est.__getitem__, reverse=True):  # stable: ties keep registry order
-        side = 0 if totals[0] <= totals[1] else 1
-        sides[side].append(name)
-        totals[side] += est[name]
-    return sides
-
-
-def _cpus() -> int:
-    """The CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
-def _can_fork() -> bool:
-    """A fork may split the suites: it exists, a second CPU is there to run
-    the child, and no other thread is running, whose locks the child would
-    inherit held."""
-    import threading
-
-    return hasattr(os, "fork") and _cpus() >= 2 and threading.active_count() == 1
-
-
-def _load_reports(data: bytes, names: list[str]) -> list[VerificationReport] | None:
-    """The reports a child sent for `names`, or None if they cannot be read."""
-    try:
-        reports = [VerificationReport(*fields) for fields in marshal.loads(data)]
-    except (EOFError, ValueError, TypeError):
-        return None
-    return reports if [r.suite for r in reports] == names else None
-
-
-def _run_forked(
-    mine: list[str], theirs: list[str], sweep: SweepRange, bump: Kernel | None, budget: float
-) -> list[VerificationReport]:
-    """Run `theirs` in a forked child while this process runs `mine`. The
-    child sends its reports back over a pipe as marshalled tuples (marshal
-    is loaded with the interpreter; `pickle` would cost an import of about
-    3.6 ms) and leaves by `os._exit`, so it flushes and runs nothing of the
-    parent's. If it dies or its reports cannot be read, this process runs
-    `theirs` itself, and if no child can be started (no descriptor, process
-    or memory left), it runs every suite here."""
-    fds: tuple[int, ...] = ()
-    try:
-        fds = read_fd, write_fd = os.pipe()
-        pid = os.fork()
-    except OSError:
-        for fd in fds:
-            os.close(fd)
-        return [_run_or_abort(name, sweep, bump, budget) for name in mine + theirs]
-    if pid == 0:
-        code = 1
-        try:
-            os.close(read_fd)
-            sent = [tuple(_run_or_abort(name, sweep, bump, budget)) for name in theirs]
-            with open(write_fd, "wb") as out:
-                out.write(marshal.dumps(sent))
-            code = 0
-        finally:
-            os._exit(code)
-    os.close(write_fd)
-    data = None
-    with open(read_fd, "rb") as src:
-        try:
-            reports = [_run_or_abort(name, sweep, bump, budget) for name in mine]
-            data = src.read()
-        finally:
-            if data is None:  # this process is leaving early: stop the child
-                import signal
-
-                os.kill(pid, signal.SIGKILL)
-            status = os.waitpid(pid, 0)[1]
-    sent = _load_reports(data, theirs) if os.waitstatus_to_exitcode(status) == 0 else None
-    if sent is None:
-        sent = [_run_or_abort(name, sweep, bump, budget) for name in theirs]
-    return reports + sent
-
-
 def run_all(
     sweep: SweepRange | None = None,
     *,
@@ -924,23 +897,13 @@ def run_all(
     custom or unbumped `bump` or a malformed CONVOLVIUM_BUDGET_MS raises
     ValueError (a usage error) instead of becoming one failing report per
     suite. A suite that raises (over budget, or a genuine bug) is converted
-    into a failing report rather than aborting the batch.
-
-    Where the process can fork, may run on two or more CPUs and runs no
-    other thread, the suites run in two processes: a forked child runs one
-    share (`_shares`) and sends its reports back, this process runs the
-    other, and the child is reaped before this returns. Every report is the
-    one a serial run gives; only `elapsed_ms` differs, as each suite's wall
-    time is taken while the other share runs. Otherwise the suites run one
-    after another here.
+    into a failing report rather than aborting the batch. The suites run one
+    after another in this process.
     """
     _check_bump(bump)
     budget = _resolve_budget(budget_ms)
     sweep = sweep if sweep is not None else SweepRange()
-    if not _can_fork():
-        return [_run_or_abort(name, sweep, bump, budget) for name in _REGISTRY]
-    by_name = {r.suite: r for r in _run_forked(*_shares(sweep), sweep, bump, budget)}
-    return [by_name[name] for name in _REGISTRY]
+    return [_run_or_abort(name, sweep, bump, budget) for name in _REGISTRY]
 
 
 def reports_to_json(reports: list[VerificationReport], *, include_timings: bool = False) -> str:

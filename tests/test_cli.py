@@ -84,6 +84,18 @@ def test_compute_refusals_name_the_value_given(capsys):
     for kernel in ("gessel", "supercat", "half-supercat"):
         code, out, err = run(capsys, "compute", "msum", "--kernel", kernel, "--n", "2", "--r", "0")
         assert (code, out, err) == (2, "", "error: r must be at least 1, got 0\n")
+    # an option the quantity does not read, named, rather than ignored
+    for argv, named in (
+        (("catalan", "--n", "3", "--r", "9"), "catalan does not take --r"),
+        (("msum", "--kernel", "central", "--n", "4", "--r", "7"), "msum --kernel central does not take --r"),
+        (("binomial", "--n", "4", "--k", "2", "--j", "3", "--t", "2"), "binomial does not take --j or --t"),
+        (
+            ("closed-form", "--family", "s1-t1", "--n", "3", "--r", "5", "--a", "2"),
+            "closed-form --family s1-t1 does not take --r or --a",
+        ),
+    ):
+        code, out, err = run(capsys, "compute", *argv)
+        assert (code, out, err) == (2, "", f"error: compute {named}\n")
 
 
 def test_compute_failed_exact_division_exits_one(capsys, monkeypatch):

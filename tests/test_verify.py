@@ -8,12 +8,11 @@ Trimmed ranges keep every run here fast.
 
 from __future__ import annotations
 
-import errno
 import hashlib
 import json
-import marshal
 import math
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -49,15 +48,6 @@ from convolvium.verify import (
 )
 
 _TRIM = SweepRange(n_max=4, m_max=2, r_max=2, a_max=2)
-
-
-@pytest.fixture(autouse=True)
-def _no_child_left():
-    # run_all may fork; whatever a test runs, it must reap every child it
-    # started, so none is left running and none is left a zombie
-    yield
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
 
 
 def test_registry_has_all_seventeen_suites():
@@ -535,6 +525,83 @@ def test_a_wrong_transplant_plan_coefficient_fails_thm2(monkeypatch):
     assert not run_suite("thm2", _SIDES).passed
 
 
+# --------------------------------------------------------------- packed rows
+#
+# eq8 and thm2 check their random kernels on one packed row per (n, a): row
+# i in signed slot i. Unpacking each side's packed output must give that
+# side's output on each row, and a packed disagreement must leave the report
+# the per-kernel loop gave.
+
+
+def _unpacked(value, bits, count):
+    """The `count` signed bits-wide slots of value, slot 0 first."""
+    slots = []
+    for _ in range(count):
+        slot = value & ((1 << bits) - 1)
+        if slot >> (bits - 1):
+            slot -= 1 << bits
+        slots.append(slot)
+        value = (value - slot) >> bits
+    assert value == 0
+    return slots
+
+
+def _eq8_at(levels_up):
+    return lambda row, n, a: verify._eq8_sides(row, levels_up)
+
+
+@pytest.mark.parametrize(
+    "sides, a",
+    [(_eq8_at(t), 0) for t in (1, 2, 3)] + [(verify._thm2_sides, a) for a in (0, 3, 4, 6)],
+    ids=[f"eq8-t{t}" for t in (1, 2, 3)] + [f"thm2-a{a}" for a in (0, 3, 4, 6)],
+)
+def test_unpacked_packed_sides_equal_the_per_row_sides(sides, a):
+    rng = random.Random(22)
+    for n in (*range(14), 40, 200):
+        rows = [
+            (9,) * (n + 1),
+            (-9,) * (n + 1),
+            tuple(9 if k % 2 else -9 for k in range(n + 1)),
+            *(tuple(rng.randint(-9, 9) for _ in range(n + 1)) for _ in range(3)),
+        ]
+        bits = verify._slot_bits(sides, n, a)
+        packed = sides(verify._packed(rows, bits), n, a)
+        per_row = [sides(row, n, a) for row in rows]
+        for side, got in enumerate(packed):
+            want = [list(slots) for slots in zip(*(out[side] for out in per_row))]
+            assert [_unpacked(v, bits, len(rows)) for v in got] == want
+
+
+def test_a_green_sweep_checks_its_random_kernels_packed(monkeypatch):
+    agreed = []
+    real = verify._fuzz_agrees
+
+    def fuzz_agrees(*args):
+        agreed.append(real(*args))
+        return agreed[-1]
+
+    monkeypatch.setattr(verify, "_fuzz_agrees", fuzz_agrees)
+    assert run_suite("eq8").passed and run_suite("thm2").passed
+    assert agreed == [True, True]
+
+
+@pytest.mark.parametrize(
+    "plan, key, suite, violations, digest",
+    [
+        ("_m_plan", (4, 1), "eq8", 118, "ae8174d9ce3a290e2e15d131324fee8c3d959752a6e794556d2fc6fdacd856fa"),
+        ("_lift_plan", (4,), "eq8", 117, "c351ff4cdb99f4e4b2885a961dfe9435109ef7f2e209fd21c6eaaef342378ab3"),
+        ("_transplant_plan", (4, 1), "thm2", 49, "9ff942e2ec8b35ece2033a6314a1685f9480e578b7082097d348b7213d1e9f88"),
+    ],
+)
+def test_a_packed_mismatch_reports_kernel_by_kernel(monkeypatch, plan, key, suite, violations, digest):
+    # the digests are the reports of the kernel-by-kernel sweep that packing
+    # replaced, so a failing run lists the same violations in the same order
+    monkeypatch.setattr(sums, plan, _corrupt_plan(getattr(sums, plan), key, 0, 1))
+    report = run_suite(suite, SweepRange(n_max=6, m_max=2, r_max=2, a_max=2))
+    assert len(report.violations) == violations
+    assert _sha256(report) == digest
+
+
 # sha256 of `reports_to_json(run_all(bump=...))` for this gessel(2) bump at
 # the default ranges and seed: pins the order and content of violations in a
 # failing run, as the CLI golden does for a green one
@@ -611,133 +678,6 @@ def test_run_all_rejects_a_malformed_budget(monkeypatch):
     monkeypatch.setenv("CONVOLVIUM_BUDGET_MS", "abc")
     with pytest.raises(ValueError, match="CONVOLVIUM_BUDGET_MS"):
         run_all(_TRIM)
-
-
-# --------------------------------------------------------------- two processes
-#
-# Where it can fork onto a second CPU, run_all runs one share of the suites in
-# a child. Patching the CPU count picks the path; both must give the same bytes.
-
-
-def _on_cpus(monkeypatch, cpus, sweep=None, **kwargs):
-    """reports_to_json(run_all(...)) with `cpus` CPUs, the forks it made, and
-    the suites this process ran itself, in the order it ran them."""
-    forks, ran_here = [], []
-    parent = os.getpid()
-    real_fork, real_run_suite = os.fork, verify.run_suite
-
-    def fork():
-        forks.append(os.getpid())
-        return real_fork()
-
-    def run_suite(name, *args, **kw):
-        if os.getpid() == parent:
-            ran_here.append(name)
-        return real_run_suite(name, *args, **kw)
-
-    with monkeypatch.context() as patch:
-        patch.setattr(verify, "_cpus", lambda: cpus)
-        patch.setattr(os, "fork", fork)
-        patch.setattr(verify, "run_suite", run_suite)
-        text = reports_to_json(run_all(sweep, **kwargs))
-    return text, len(forks), ran_here
-
-
-@pytest.mark.parametrize(
-    "sweep, kwargs",
-    [
-        (_TRIM, {}),
-        (None, {}),
-        (None, {"budget_ms": 0}),
-        (None, {"bump": with_bump(Kernel(KernelFamily.GESSEL, order=2), (6, 1, 1), 1)}),
-        # a box no estimate can read: the split still runs, and every suite
-        # that reads n_max aborts on both paths
-        (SweepRange(n_max="4"), {}),
-    ],
-    ids=["trim", "default", "no-budget", "bump", "malformed-box"],
-)
-def test_forked_and_serial_runs_give_the_same_bytes(monkeypatch, sweep, kwargs):
-    monkeypatch.delenv("CONVOLVIUM_BUDGET_MS", raising=False)
-    serial, serial_forks, serial_here = _on_cpus(monkeypatch, 1, sweep, **kwargs)
-    forked, forks, forked_here = _on_cpus(monkeypatch, 2, sweep, **kwargs)
-    assert (serial_forks, forks) == (0, 1)
-    assert forked == serial
-    # the child's reports were used: this process ran its own share only,
-    # not the child's again through the fallback
-    assert serial_here == list(suite_names())
-    assert forked_here == verify._shares(sweep or SweepRange())[0]
-    payload = json.loads(forked)
-    assert [s["suite"] for s in payload["suites"]] == list(suite_names())
-    if "budget_ms" in kwargs:
-        assert all(s["notes"] == ["suite aborted: RangeTooLarge"] for s in payload["suites"])
-    if "bump" in kwargs:
-        assert hashlib.sha256(forked.encode()).hexdigest() == _GOLDEN_FAILING_RUN_SHA256
-
-
-def test_the_split_is_a_pure_function_of_the_box():
-    for sweep in (_TRIM, SweepRange(), SweepRange(n_max=30, seed=7)):
-        mine, theirs = verify._shares(sweep)
-        assert (mine, theirs) == verify._shares(sweep)
-        assert sorted(mine + theirs) == sorted(suite_names())
-        assert mine and theirs
-    # the seed only moves the fuzz, never the estimates
-    assert verify._shares(SweepRange(seed=1)) == verify._shares(SweepRange(seed=2))
-
-
-def test_a_dead_child_leaves_its_suites_to_the_parent(monkeypatch):
-    serial, _, _ = _on_cpus(monkeypatch, 1, _TRIM)
-    parent = os.getpid()
-    mine, theirs = verify._shares(_TRIM)
-    for name in theirs[:2]:
-        spec = verify._REGISTRY[name]
-
-        def runner(ctx, real=spec.runner):
-            if os.getpid() != parent:
-                os._exit(3)
-            real(ctx)
-
-        monkeypatch.setitem(verify._REGISTRY, name, spec._replace(runner=runner))
-    forked, forks, ran_here = _on_cpus(monkeypatch, 2, _TRIM)
-    assert forks == 1
-    assert forked == serial
-    assert ran_here == mine + theirs
-
-
-@pytest.mark.parametrize("call", ["pipe", "fork"])
-def test_no_child_to_start_runs_every_suite_here(monkeypatch, call):
-    # os.pipe fails with EMFILE when no descriptor is left, os.fork with
-    # EAGAIN or ENOMEM when no process or memory is left for a child
-    serial, _, _ = _on_cpus(monkeypatch, 1, _TRIM)
-    opened = []
-    real_pipe = os.pipe
-
-    def pipe():
-        if call == "pipe":
-            raise OSError(errno.EMFILE, "Too many open files")
-        opened.extend(real_pipe())
-        return tuple(opened)
-
-    def fork():
-        raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
-
-    monkeypatch.setattr(os, "pipe", pipe)
-    monkeypatch.setattr(os, "fork", fork)
-    monkeypatch.setattr(verify, "_cpus", lambda: 2)
-    assert reports_to_json(run_all(_TRIM)) == serial
-    assert len(opened) == (2 if call == "fork" else 0)
-    for fd in opened:  # the pipe is closed again, not leaked
-        with pytest.raises(OSError):
-            os.fstat(fd)
-
-
-def test_an_unreadable_child_result_is_refused():
-    names = ["remark1", "eq14"]
-    reports = [run_suite(name, _TRIM) for name in names]
-    sent = marshal.dumps([tuple(r) for r in reports])
-    assert verify._load_reports(sent, names) == reports
-    for data in (b"", sent[:-5], marshal.dumps(7), marshal.dumps([(1, 2)])):
-        assert verify._load_reports(data, names) is None
-    assert verify._load_reports(sent, names[::-1]) is None
 
 
 # ----------------------------------------------------------------- serializers
