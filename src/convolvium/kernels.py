@@ -25,8 +25,8 @@ call: the verifier dresses each (n, a) once or twice per suite.
 Built-in rows are memoised in `_builtin_row`, an lru_cache of 16 rows
 keyed by (family, order, n, a); custom kernels store their rows and bypass
 it. The verifier asks for the same few rows over and over: one default
-`verify all` makes 4205 row requests for 341 distinct rows, and an LRU of
-2, 8, 16 or 64 rows misses 1833, 1112, 1112 or 968 of them. Sixteen is
+`verify all` makes 2476 row requests for 341 distinct rows, and an LRU of
+2, 8, 16 or 64 rows misses 1833, 1112, 1112 or 961 of them. Sixteen is
 twice the size where the misses level off. A big-n sweep that asks for
 each row once gains nothing and keeps at most 16 rows (about 0.74 MB after
 one pass of the bigint-sweep benchmark).
@@ -272,6 +272,13 @@ def binomial_pair_kernel(g: Kernel, n: int, a: int) -> Kernel:
     return Kernel(KernelFamily.CUSTOM, rows={(n, a): binomial_pair_row(g.row(n, a), a)})
 
 
+# the top byte b of a 32-bit word as the value its top 5 bits draw, b >> 3
+# minus 9, stored as a signed byte; the bytes 152 and up (5 bits >= 19) are
+# the redraws
+_DRAWN_VALUE = bytes([((b >> 3) - 9) & 0xFF for b in range(152)] + [0] * 104)
+_REDRAWN = bytes(range(152, 256))
+
+
 def random_kernel(rng: random.Random, n_max: int, a_max: int) -> Kernel:
     """Custom kernel whose rows (n, a), n <= n_max, a <= a_max, hold values
     drawn uniformly from [-9, 9]. The draw order is (n, k, a) ascending, so
@@ -279,17 +286,26 @@ def random_kernel(rng: random.Random, n_max: int, a_max: int) -> Kernel:
 
     Each value is the draw rng.randint(-9, 9) makes, spelled out: 5 random
     bits, redrawn while >= 19, minus 9. That is CPython's randrange path, so
-    values and generator state match randint's, without its three calls
-    per value."""
-    bits = rng.getrandbits
+    values and generator state match randint's. The draws are made in
+    rounds: getrandbits(32 w) gives w words, word i in bits 32i up, and
+    getrandbits(5) is the top 5 bits of one word, so the w top bytes, redraws
+    deleted, are the values w single draws would give. A round asks only for
+    the values still missing, so the generator never runs past the last
+    value, as one draw at a time would not."""
+    width = a_max + 1
+    need = width * sum(range(n_max + 2))
+    drawn = bytearray()
+    while need > 0:
+        words = rng.getrandbits(32 * need).to_bytes(4 * need, "little")
+        kept = words[3::4].translate(_DRAWN_VALUE, _REDRAWN)
+        drawn += kept
+        need -= len(kept)
+    values = memoryview(drawn).cast("b").tolist()
     rows = {}
+    start = 0
     for n in range(n_max + 1):
-        drawn = []
-        for _ in range((n + 1) * (a_max + 1)):
-            v = bits(5)
-            while v >= 19:
-                v = bits(5)
-            drawn.append(v - 9)
-        for a in range(a_max + 1):
-            rows[(n, a)] = tuple(drawn[a :: a_max + 1])
+        stop = start + (n + 1) * width
+        for a in range(width):
+            rows[(n, a)] = tuple(values[start + a : stop : width])
+        start = stop
     return Kernel(KernelFamily.CUSTOM, rows=rows)

@@ -13,10 +13,13 @@ every bump is caught: eq7 and eq8 hold for any kernel and the other suites
 read kernel rows only at even n, so a bump at odd n, or on a kernel the box
 never builds, leaves every suite green. Randomized suites (eq8, thm2) derive
 their kernels from a seeded generator, so reports are reproducible byte for
-byte. They check all their random kernels at once, on one packed row per
-(n, a) (`_fuzz_agrees`), and check them one at a time only where the packed
-sides disagree, so a failing report lists what the kernel-by-kernel sweep
-lists. Every suite runs in the calling process.
+byte. eq7 and eq8 check all their kernels, built-in and random, and thm2 all
+its random kernels, at once, on one packed row per (n, a) (`_packed_agrees`),
+and check them one at a time only where the packed sides disagree, so a
+failing report lists what the kernel-by-kernel sweep lists. stanley
+compares each (a, b, m) as one packed product, eq14 each (a, b) as one
+block, and kr each r's window as one block. Every suite runs in the calling
+process.
 
 Runtime protection: each suite declares the cases it checks at a resolved
 range. Before running, it refuses (RangeTooLarge) if their estimated time
@@ -31,9 +34,9 @@ import math
 import os
 import random
 import time
-from itertools import chain
-from operator import lshift, mul
-from typing import Callable, NamedTuple, Sequence
+from itertools import chain, count, repeat
+from operator import lshift, mod, mul
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from . import closed_forms as cf
 from .exact import (
@@ -191,11 +194,6 @@ class _SuiteCtx:
                 f"remainder {decimal(rem)}",
             )
 
-    def assert_true(self, params: dict, ok: bool, expected: str, actual: str) -> None:
-        self.cases += 1
-        if not ok:
-            self.violate(params, expected, actual)
-
 
 # ---------------------------------------------------------------- suite runners
 
@@ -289,9 +287,25 @@ def _builtin_kernels(ctx: _SuiteCtx) -> list[tuple[Kernel, int]]:
     return out
 
 
+def _eq7_sides(row: Sequence[int], n: int, a: int, m_max: int) -> tuple[list[int], list[int]]:
+    """Both sides of eq7 for one kernel row at (n, a), at weights m =
+    1..m_max: the direct sums and the offset-0 M-sums at level m - 1, each
+    through its own function on a custom kernel holding the row."""
+    kern = Kernel(KernelFamily.CUSTOM, rows={(n, a): tuple(row)})
+    weights = range(1, m_max + 1)
+    return (
+        [direct_sum(kern, n, m, a) for m in weights],
+        [m_sum(kern, n, 0, m - 1, a) for m in weights],
+    )
+
+
 def _run_eq7(ctx: _SuiteCtx) -> None:
     p = ctx.params
-    for kern, a in _builtin_kernels(ctx):
+    kernels = _builtin_kernels(ctx)
+    blocks = (([kern.row(n, a) for kern, a in kernels], n, 0) for n in range(p["n_max"] + 1))
+    if _packed_agrees(ctx, blocks, lambda row, n, a: _eq7_sides(row, n, a, p["m_max"])):
+        return
+    for kern, a in kernels:
         for n in range(p["n_max"] + 1):
             for m in range(1, p["m_max"] + 1):
                 ctx.equal(
@@ -333,10 +347,6 @@ def _thm2_sides(g_row: tuple[int, ...], n: int, a: int) -> tuple[tuple[int, ...]
     return _transplant_sides(binomial_pair_row(g_row, a), g_row, n, a)
 
 
-# random_kernel draws every entry from [-9, 9]
-_FUZZ_ENTRY_MAX = 9
-
-
 def _packed(rows: list[tuple[int, ...]], bits: int) -> tuple[int, ...]:
     """Equal-length rows as one row: entry k is sum_i rows[i][k] 2^(bits i),
     so row i sits in the signed bits-wide slot i of every entry."""
@@ -345,47 +355,55 @@ def _packed(rows: list[tuple[int, ...]], bits: int) -> tuple[int, ...]:
 
 
 # sides(row, n, a): the two sides of an identity for one kernel row at (n, a)
-_Sides = Callable[[tuple[int, ...], int, int], tuple[Sequence[int], Sequence[int]]]
+_Sides = Callable[[Sequence[int], int, int], tuple[Sequence[int], Sequence[int]]]
 
 
-def _slot_bits(sides: _Sides, n: int, a: int) -> int:
-    """The slot width for rows packed at (n, a): both sides' outputs on the
-    row (9, ..., 9) lie below 2^(bits-1)."""
-    bound = max(map(abs, chain(*sides((_FUZZ_ENTRY_MAX,) * (n + 1), n, a))))
+def _slot_bits(sides: _Sides, rows: list[tuple[int, ...]], n: int, a: int) -> int:
+    """The slot width for `rows` packed at (n, a): both sides' outputs on
+    the rows' column-wise largest |entry| lie below 2^(bits-1)."""
+    top = [max(map(abs, column)) for column in zip(*rows)]
+    bound = max(map(abs, chain(*sides(top, n, a))))
     return bound.bit_length() + 1
 
 
-def _fuzz_agrees(
-    ctx: _SuiteCtx, kernels: list[Kernel], boxes: list[tuple[int, int]], sides: _Sides
+def _packed_agrees(
+    ctx: _SuiteCtx, blocks: Iterable[tuple[list[tuple[int, ...]], int, int]], sides: _Sides
 ) -> bool:
-    """Whether sides(row, n, a) gives two equal sequences for the row at
-    (n, a) of every kernel, at every (n, a) in `boxes`; if so, their cases
-    are counted as the per-kernel loop counts them.
+    """Whether sides(row, n, a) gives two equal sequences for every row of
+    every block (rows, n, a); if so, their cases are counted as checking
+    the rows one by one counts them.
 
     Each side is linear in the row, and every coefficient in it is
-    non-negative, so the kernels' rows at one (n, a) go through both sides
-    at once, packed into one row (`_packed`; Kronecker substitution). A
-    slot of a side's output is then that side applied to one kernel's row,
-    so its magnitude is at most that side applied to the row (9, ..., 9).
-    With 2^(bits-1) above both sides' bounds (`_slot_bits`) every slot has
-    one value, and two packed outputs are equal exactly when every slot
-    agrees."""
+    non-negative, so a block's rows go through both sides at once, packed
+    into one row (`_packed`; Kronecker substitution). A slot of a side's
+    output is then that side applied to one row, so its magnitude is at
+    most that side applied to the rows' column-wise largest |entry|. With
+    2^(bits-1) above both sides' bounds (`_slot_bits`) every slot has one
+    value, and two packed outputs are equal exactly when every slot agrees.
+    The blocks are read one at a time, and none after the first mismatch."""
     cases = 0
-    for n, a in boxes:
-        row = _packed([kern.row(n, a) for kern in kernels], _slot_bits(sides, n, a))
-        direct, other = sides(row, n, a)
+    for rows, n, a in blocks:
+        direct, other = sides(_packed(rows, _slot_bits(sides, rows, n, a)), n, a)
         if direct != other:
             return False
-        cases += len(direct)
-    ctx.cases += cases * len(kernels)
+        cases += len(direct) * len(rows)
+    ctx.cases += cases
     return True
 
 
 def _run_eq8(ctx: _SuiteCtx) -> None:
     p = ctx.params
     levels_up = p["m_max"]
-
-    def check(label: str, kern: Kernel, a: int) -> None:
+    rng = ctx.rng()
+    # the built-in kernels, then the random ones, each with its label and a
+    kernels = [(kern.label, kern, a) for kern, a in _builtin_kernels(ctx)] + [
+        (f"custom[{i}]", random_kernel(rng, p["n_max"], 0), 0) for i in range(FUZZ_KERNEL_COUNT)
+    ]
+    blocks = (([kern.row(n, a) for _, kern, a in kernels], n, 0) for n in range(p["n_max"] + 1))
+    if _packed_agrees(ctx, blocks, lambda row, n, a: _eq8_sides(row, levels_up)):
+        return
+    # kernel by kernel only where the packed sides disagree
+    for label, kern, a in kernels:
         for n in range(p["n_max"] + 1):
 
             def params_at(i: int) -> dict:
@@ -394,23 +412,14 @@ def _run_eq8(ctx: _SuiteCtx) -> None:
 
             ctx.equal_all(*_eq8_sides(kern.row(n, a), levels_up), params_at)
 
-    for kern, a in _builtin_kernels(ctx):
-        check(kern.label, kern, a)
-    rng = ctx.rng()
-    fuzz = [random_kernel(rng, p["n_max"], 0) for _ in range(FUZZ_KERNEL_COUNT)]
-    boxes = [(n, 0) for n in range(p["n_max"] + 1)]
-    # the random kernels one by one only where their packed sides disagree
-    if not _fuzz_agrees(ctx, fuzz, boxes, lambda row, n, a: _eq8_sides(row, levels_up)):
-        for i, kern in enumerate(fuzz):
-            check(f"custom[{i}]", kern, 0)
-
 
 def _run_thm2(ctx: _SuiteCtx) -> None:
     p = ctx.params
     rng = ctx.rng()
     fuzz = [random_kernel(rng, p["n_max"], p["a_max"]) for _ in range(FUZZ_KERNEL_COUNT)]
     boxes = [(n, a) for n in range(p["n_max"] + 1) for a in range(p["a_max"] + 1)]
-    if not _fuzz_agrees(ctx, fuzz, boxes, _thm2_sides):
+    blocks = (([g.row(n, a) for g in fuzz], n, a) for n, a in boxes)
+    if not _packed_agrees(ctx, blocks, _thm2_sides):
         for i, g in enumerate(fuzz):
             for n, a in boxes:
                 ctx.equal_all(
@@ -474,6 +483,21 @@ def _run_stanley(ctx: _SuiteCtx) -> None:
     ]
     # falling[x][y] = (binomial(x, y), binomial(x, y-1), ..., binomial(x, 0))
     falling = [[row[y::-1] for y in range(top + 1)] for row in pascal[: top + 1]]
+    # Each side of one (a, b, m) is packed into one integer, n in slot n of
+    # `bits` bits; the right side is the product of w(x) and (1+x)^b at
+    # x = 2^bits, whose slot n is sum_k w[k] binomial(b, n-k). A left entry
+    # is at most mid^2 and a right one (top+1) lo^2 hi in magnitude, with lo,
+    # mid and hi the largest |entry| of the rows up to top, 2 top and 3 top.
+    # Both below 2^(bits-1), the slots n <= top of the two sides agree
+    # exactly when the low top+1 slots of their difference are 0.
+    lo, mid, hi = (
+        max(map(abs, chain.from_iterable(pascal[:end]))) for end in (top + 1, 2 * top + 1, width)
+    )
+    bits = max(mid**2, (top + 1) * lo**2 * hi).bit_length() + 1
+    shifts = [bits * n for n in range(top + 1)]
+    low = (1 << bits * (top + 1)) - 1
+    # (1+x)^b at x = 2^bits, to degree top
+    ones = [sum(map(lshift, pascal[b][: top + 1], shifts)) for b in range(top + 1)]
     for a in range(top + 1):
         # down[m][n] = binomial(a+n, m) for n = 0..top
         down = [[pascal[a + n][m] for n in range(top + 1)] for m in range(top + 1)]
@@ -482,11 +506,16 @@ def _run_stanley(ctx: _SuiteCtx) -> None:
             rising = [pascal[a + b + k][k] for k in range(top + 1)]
             from_b = falling[b]
             for m in range(top + 1):
-                # binomial(a, m-k) binomial(a+b+k, k) for k = 0..m; each sum
-                # stops at k = min(m, n), where one of its slices runs out
+                # binomial(a, m-k) binomial(a+b+k, k) for k = 0..m
                 w = list(map(mul, falling[a][m], rising))
+                left = list(map(mul, down[m], pascal[b + m]))
+                packed = sum(map(lshift, left, shifts)) - sum(map(lshift, w, shifts)) * ones[b]
+                if not packed & low:
+                    ctx.cases += top + 1
+                    continue
+                # each sum stops at k = min(m, n), where one of its slices runs out
                 ctx.equal_all(
-                    list(map(mul, down[m], pascal[b + m])),
+                    left,
                     [sum(map(mul, w, to_n)) for to_n in from_b],
                     lambda n: {"a": a, "b": b, "m": m, "n": n},
                 )
@@ -495,35 +524,45 @@ def _run_stanley(ctx: _SuiteCtx) -> None:
 def _run_eq14(ctx: _SuiteCtx) -> None:
     top = ctx.params["a_max"]
     for a in range(top + 1):
+        # binomial(a, x) for x = 0..a, read by both sides
+        row = [binomial(a, x) for x in range(a + 1)]
         for b in range(a + 1):
-            for c in range(b + 1):
-                ctx.equal(
-                    {"a": a, "b": b, "c": c},
-                    binomial(a, b) * binomial(b, c),
-                    binomial(a, c) * binomial(a - c, b - c),
-                )
+            ctx.equal_all(
+                [row[b] * binomial(b, c) for c in range(b + 1)],
+                [row[c] * binomial(a - c, b - c) for c in range(b + 1)],
+                lambda c: {"a": a, "b": b, "c": c},
+            )
 
 
 def _run_kr(ctx: _SuiteCtx) -> None:
     window = ctx.params["n_max"]
+    # binomial(2n, n) for n = 0, 1, ..., as far as a minimality scan has
+    # needed, and the walk that goes on from there
+    known: list[int] = []
+    walk = _centrals(window)
     for r in range(1, ctx.params["r_max"] + 1):
         cleared = smallest_clearing_factor(r)
-        text = decimal(cleared)
-        for n, c in enumerate(_centrals(window)):
-            ctx.divides({"r": r, "n": n, "K": text}, n + r, cleared * c)
+        # the window in one block, walked afresh and kept nowhere; case by
+        # case only if some n fails
+        if any(map(mod, map(mul, _centrals(window), repeat(cleared)), count(r))):
+            text = decimal(cleared)
+            for n, c in enumerate(_centrals(window)):
+                ctx.divides({"r": r, "n": n, "K": text}, n + r, cleared * c)
+        else:
+            ctx.cases += window + 1
         # minimality, as far as the window can see: every smaller multiplier
         # must fail at some n in the window
+        expected = f"some n <= {window} where K*binomial(2n,n) is not divisible by n+r"
         for cand in range(1, cleared):
-            witness = next(
-                (n for n, c in enumerate(_centrals(window)) if cand * c % (n + r)),
-                None,
-            )
-            ctx.assert_true(
-                {"r": r, "K": cand},
-                witness is not None,
-                f"some n <= {window} where K*binomial(2n,n) is not divisible by n+r",
-                "no witness in window",
-            )
+            if any(map(mod, map(mul, known, repeat(cand)), count(r))):
+                continue
+            for c in walk:
+                known.append(c)
+                if cand * c % (len(known) - 1 + r):
+                    break
+            else:
+                ctx.violate({"r": r, "K": cand}, expected, "no witness in window")
+        ctx.cases += cleared - 1
 
 
 def _run_remark1(ctx: _SuiteCtx) -> None:
@@ -669,7 +708,7 @@ _REGISTRY: dict[str, SuiteSpec] = {
             {"n_max": 12, "m_max": 4, "r_max": 4, "a_max": 4},
             _run_eq7,
             lambda p: (3 + p["a_max"] + 3 * p["r_max"]) * (p["n_max"] + 1) * p["m_max"],
-            13.0,
+            5.6,
         ),
         SuiteSpec(
             "eq8",
@@ -681,7 +720,7 @@ _REGISTRY: dict[str, SuiteSpec] = {
             # kernel (plain, central, rising at each a, three ordered at each r)
             lambda p: (3 + p["a_max"] + 3 * p["r_max"] + FUZZ_KERNEL_COUNT)
             * p["m_max"] * ((p["n_max"] + 2) ** 2 // 4),
-            2.0,
+            1.1,
         ),
         SuiteSpec(
             "thm2",
@@ -710,7 +749,7 @@ _REGISTRY: dict[str, SuiteSpec] = {
             {"n_max": 12},
             _run_stanley,
             lambda p: (p["n_max"] + 1) ** 4,
-            1.0,
+            0.52,
         ),
         SuiteSpec(
             "eq14",
@@ -719,7 +758,7 @@ _REGISTRY: dict[str, SuiteSpec] = {
             {"a_max": 24},
             _run_eq14,
             lambda p: math.comb(p["a_max"] + 3, 3),
-            1.4,
+            1.0,
         ),
         SuiteSpec(
             "kr",
@@ -729,7 +768,7 @@ _REGISTRY: dict[str, SuiteSpec] = {
             {"n_max": 500, "r_max": 5},
             _run_kr,
             _kr_cases,
-            2.2,
+            1.1,
         ),
         SuiteSpec(
             "remark1",

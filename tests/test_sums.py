@@ -356,6 +356,31 @@ def test_random_kernel_draws_what_randint_draws(seed, n_max, a_max):
     assert rng.random() == reference.random()
 
 
+def _drawn_one_at_a_time(rng, n_max, a_max):
+    """random_kernel's rows as one getrandbits(5) call per value draws them,
+    redrawing while >= 19: the reference for its draws in bulk."""
+    rows = {}
+    for n in range(n_max + 1):
+        drawn = []
+        for _ in range((n + 1) * (a_max + 1)):
+            v = rng.getrandbits(5)
+            while v >= 19:
+                v = rng.getrandbits(5)
+            drawn.append(v - 9)
+        for a in range(a_max + 1):
+            rows[(n, a)] = tuple(drawn[a :: a_max + 1])
+    return rows
+
+
+@pytest.mark.parametrize("seed", [0, 7, 24301])
+@pytest.mark.parametrize("n_max,a_max", [(0, 0), (12, 0), (10, 3), (40, 2)])
+def test_random_kernel_draws_what_one_draw_per_value_draws(seed, n_max, a_max):
+    # rounds of getrandbits(32 w) must neither skip nor over-draw a word
+    rng, reference = random.Random(seed), random.Random(seed)
+    assert random_kernel(rng, n_max, a_max).rows == _drawn_one_at_a_time(reference, n_max, a_max)
+    assert rng.random() == reference.random()
+
+
 def test_custom_and_random_rows_read_the_table():
     table = {(3, k, 2): 10 * k - 7 for k in range(4)}
     assert custom_kernel(table).row(3, 2) == (-7, 3, 13, 23)

@@ -15,6 +15,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -527,14 +528,15 @@ def test_a_wrong_transplant_plan_coefficient_fails_thm2(monkeypatch):
 
 # --------------------------------------------------------------- packed rows
 #
-# eq8 and thm2 check their random kernels on one packed row per (n, a): row
-# i in signed slot i. Unpacking each side's packed output must give that
-# side's output on each row, and a packed disagreement must leave the report
-# the per-kernel loop gave.
+# eq7 and eq8 check their kernels, and thm2 its random kernels, on one packed
+# row per (n, a): row i in signed slot i. Unpacking each side's packed output
+# must give that side's output on each row, and a packed disagreement must
+# leave the report the per-kernel loop gave.
 
 
 def _unpacked(value, bits, count):
-    """The `count` signed bits-wide slots of value, slot 0 first."""
+    """The `count` signed bits-wide slots of value, slot 0 first, and what is
+    left above them."""
     slots = []
     for _ in range(count):
         slot = value & ((1 << bits) - 1)
@@ -542,20 +544,41 @@ def _unpacked(value, bits, count):
             slot -= 1 << bits
         slots.append(slot)
         value = (value - slot) >> bits
-    assert value == 0
-    return slots
+    return slots, value
 
 
 def _eq8_at(levels_up):
     return lambda row, n, a: verify._eq8_sides(row, levels_up)
 
 
+def _eq7_at(m_max):
+    return lambda row, n, a: verify._eq7_sides(row, n, a, m_max)
+
+
+# one instance of each built-in family, with the a it is summed at
+_BUILTIN_AT = [
+    (plain_kernel(), 0),
+    (central_kernel(), 0),
+    (rising_kernel(), 3),
+    (supercat_kernel(2), 1),
+    (Kernel(KernelFamily.HALF_SUPERCAT, order=3), 2),
+    (gessel_kernel(4), 3),
+]
+
+
 @pytest.mark.parametrize(
     "sides, a",
-    [(_eq8_at(t), 0) for t in (1, 2, 3)] + [(verify._thm2_sides, a) for a in (0, 3, 4, 6)],
-    ids=[f"eq8-t{t}" for t in (1, 2, 3)] + [f"thm2-a{a}" for a in (0, 3, 4, 6)],
+    [(_eq8_at(t), 0) for t in (1, 2, 3)]
+    + [(verify._thm2_sides, a) for a in (0, 3, 4, 6)]
+    + [(_eq7_at(m), 0) for m in (1, 4)],
+    ids=[f"eq8-t{t}" for t in (1, 2, 3)]
+    + [f"thm2-a{a}" for a in (0, 3, 4, 6)]
+    + [f"eq7-m{m}" for m in (1, 4)],
 )
 def test_unpacked_packed_sides_equal_the_per_row_sides(sides, a):
+    # random rows at n 0-13, 40 and 200, built-in rows at n 0-13 and 40; the
+    # last row is the rows' column-wise largest |entry|, on which both sides
+    # meet the bound, so slots one bit narrower must garble both
     rng = random.Random(22)
     for n in (*range(14), 40, 200):
         rows = [
@@ -563,26 +586,30 @@ def test_unpacked_packed_sides_equal_the_per_row_sides(sides, a):
             (-9,) * (n + 1),
             tuple(9 if k % 2 else -9 for k in range(n + 1)),
             *(tuple(rng.randint(-9, 9) for _ in range(n + 1)) for _ in range(3)),
+            *(kern.row(n, b) for kern, b in _BUILTIN_AT if n <= 40),
         ]
-        bits = verify._slot_bits(sides, n, a)
-        packed = sides(verify._packed(rows, bits), n, a)
+        rows.append(tuple(max(map(abs, column)) for column in zip(*rows)))
         per_row = [sides(row, n, a) for row in rows]
-        for side, got in enumerate(packed):
-            want = [list(slots) for slots in zip(*(out[side] for out in per_row))]
-            assert [_unpacked(v, bits, len(rows)) for v in got] == want
+        bits = verify._slot_bits(sides, rows, n, a)
+        for width, agrees in ((bits, True), (bits - 1, False)):
+            packed = sides(verify._packed(rows, width), n, a)
+            for side, got in enumerate(packed):
+                want = [(list(slots), 0) for slots in zip(*(out[side] for out in per_row))]
+                unpacked = [_unpacked(v, width, len(rows)) for v in got]
+                assert (unpacked == want) is agrees
 
 
-def test_a_green_sweep_checks_its_random_kernels_packed(monkeypatch):
+def test_a_green_sweep_checks_its_kernels_packed(monkeypatch):
     agreed = []
-    real = verify._fuzz_agrees
+    real = verify._packed_agrees
 
-    def fuzz_agrees(*args):
+    def packed_agrees(*args):
         agreed.append(real(*args))
         return agreed[-1]
 
-    monkeypatch.setattr(verify, "_fuzz_agrees", fuzz_agrees)
-    assert run_suite("eq8").passed and run_suite("thm2").passed
-    assert agreed == [True, True]
+    monkeypatch.setattr(verify, "_packed_agrees", packed_agrees)
+    assert run_suite("eq7").passed and run_suite("eq8").passed and run_suite("thm2").passed
+    assert agreed == [True, True, True]
 
 
 @pytest.mark.parametrize(
@@ -591,6 +618,7 @@ def test_a_green_sweep_checks_its_random_kernels_packed(monkeypatch):
         ("_m_plan", (4, 1), "eq8", 118, "ae8174d9ce3a290e2e15d131324fee8c3d959752a6e794556d2fc6fdacd856fa"),
         ("_lift_plan", (4,), "eq8", 117, "c351ff4cdb99f4e4b2885a961dfe9435109ef7f2e209fd21c6eaaef342378ab3"),
         ("_transplant_plan", (4, 1), "thm2", 49, "9ff942e2ec8b35ece2033a6314a1685f9480e578b7082097d348b7213d1e9f88"),
+        ("_m_plan", (4, 1), "eq7", 11, "1be87540a859bfc6445d181b0f3c58a0b6df263566df625b1be6856cfb976a13"),
     ],
 )
 def test_a_packed_mismatch_reports_kernel_by_kernel(monkeypatch, plan, key, suite, violations, digest):
@@ -600,6 +628,22 @@ def test_a_packed_mismatch_reports_kernel_by_kernel(monkeypatch, plan, key, suit
     report = run_suite(suite, SweepRange(n_max=6, m_max=2, r_max=2, a_max=2))
     assert len(report.violations) == violations
     assert _sha256(report) == digest
+
+
+def test_a_lift_that_wraps_at_64_bits_fails_eq8_on_the_builtin_rows_alone(monkeypatch):
+    # at the default box only gessel(4)'s lifts pass 2^63, the random rows'
+    # stay below 2^46, and every packed lift passes it: the packed check
+    # fails, and the kernel-by-kernel rerun lists the parent's four
+    # violations of gessel(4)
+    real = verify.m_sum_lift_vector
+
+    def wrapped(level, n):
+        return tuple((v + 2**63) % 2**64 - 2**63 for v in real(level, n))
+
+    monkeypatch.setattr(verify, "m_sum_lift_vector", wrapped)
+    report = run_suite("eq8")
+    assert [v["parameters"]["kernel"] for v in report.violations] == ["gessel(4)"] * 4
+    assert _sha256(report) == "b07d1c40f81a48430d79f5ff9c2ac6f683113c6dbe54f07d9439409731f7a0ff"
 
 
 # sha256 of `reports_to_json(run_all(bump=...))` for this gessel(2) bump at
@@ -672,6 +716,25 @@ def test_direct_sum_suite_under_its_own_bump_matches_golden(monkeypatch, suite, 
     assert len(report.violations) == violations
     text = reports_to_json([report])
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+# sha256 of `reports_to_json([run_suite(suite, sweep)])` past the default
+# boxes of the suites that check in blocks, computed on the case-by-case
+# runners they replaced; each run takes under 0.1 s
+@pytest.mark.parametrize(
+    "suite, sweep, digest",
+    [
+        ("eq7", SweepRange(n_max=20), "8b95a7cdab35e00de9165b5469c4205097858c476cf2ec9e24091b1fead4cae1"),
+        ("eq8", SweepRange(n_max=20), "e448c80fb8f9afbd80487b268490b81a9d32dbe287ba76842fad6ecd1588e737"),
+        ("stanley", SweepRange(n_max=16), "7ddbbbc32b6faef02cb714461fc48f7e2959097c1586a34ae892ed7b7f0a523b"),
+        ("kr", SweepRange(n_max=2000), "f44b700355a3d38ba3462247239095be1e890e2785ba5f9a0b4431fdca2f01d6"),
+        ("eq14", SweepRange(a_max=40), "2e17bcb95c54d5bf67b88f7af3533f2c845ef0523e17f7c6670431b5ba16730b"),
+        ("thm2", SweepRange(n_max=14, a_max=5), "6255ed77c738c9697a1b38eef112bfb382c35cb28d659d7dc51af6fce35bcf14"),
+    ],
+    ids=["eq7-n20", "eq8-n20", "stanley-n16", "kr-n2000", "eq14-a40", "thm2-n14-a5"],
+)
+def test_a_wider_box_gives_the_case_by_case_report(suite, sweep, digest):
+    assert _sha256(run_suite(suite, sweep)) == digest
 
 
 def test_run_all_rejects_a_malformed_budget(monkeypatch):
@@ -751,6 +814,19 @@ def test_kr_keeps_nothing_after_it_returns():
     ).stdout.split()
     assert out[0] == "True"
     assert int(out[1]) < 100_000
+
+
+def test_kr_streams_its_window():
+    # the window is walked, never listed: a list of the 5001 central
+    # binomials would peak at about 3.5 MB
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        assert run_suite("kr", SweepRange(n_max=5000, r_max=2)).passed
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < 500_000
 
 
 def test_kr_no_witness_is_a_violation():
