@@ -241,6 +241,8 @@ def _plain_report_lines(reports, timings: bool) -> Iterable[str]:
 def _cmd_verify(args: argparse.Namespace) -> int:
     if args.timings and args.format == "csv":
         raise _UsageError("--timings needs --format plain or json: the csv report holds only violations")
+    if args.seed < 0:
+        raise _UsageError(f"--seed must be non-negative, got {args.seed}")
     sweep = SweepRange(
         n_max=args.n_max,
         m_max=args.m_max,

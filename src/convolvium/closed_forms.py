@@ -13,6 +13,15 @@ level t of that M-sum; FAMILY_PARAMS is read off the closed forms' code
 objects (their parameter names), without importing `inspect`. The closed
 forms are private and check nothing: both sides of each identity,
 `closed_form` and `msum_counterpart`, check a family's arguments in `_check`.
+
+Each side also comes as a vector over the offsets j = 0..n + 1 at one n,
+one past the half index, which the verifier compares in one block:
+`closed_form_vector` calls the closed form once per offset after one
+`_check`, and `msum_counterpart_vector` is one `m_sum_vector` of the
+kernel's row at 2n, zero-padded. The scalar `msum_counterpart` returns an
+entry of that same vector, so the M-sum side has one evaluation path. The
+closed forms read their binomials from `exact`, never from `sums`, so the
+two sides stay computed apart.
 """
 
 from __future__ import annotations
@@ -28,7 +37,7 @@ from .exact import (
     super_catalan,
 )
 from .kernels import PARAMETERIZED_FAMILIES, Kernel, KernelFamily, _sign
-from .sums import m_sum
+from .sums import m_sum_vector
 
 
 class ClosedFormFamily(str, Enum):
@@ -206,6 +215,38 @@ def closed_form(family: ClosedFormFamily, *, n: int, j: int = 0, r: int = 1, a: 
     return FAMILIES[family][0](**{name: given[name] for name in FAMILY_PARAMS[family]})
 
 
+def closed_form_vector(
+    family: ClosedFormFamily, *, n: int, r: int = 1, a: int = 0
+) -> tuple[int, ...]:
+    """closed_form at every offset j = 0..n + 1, one past the half index
+    (for a family that takes no j, at j = 0 alone), after one `_check`."""
+    family = ClosedFormFamily(family)
+    _check(family, n, 0, r, a)
+    fn = FAMILIES[family][0]
+    given = {"n": n, "j": 0, "r": r, "a": a}
+    args = [given[name] for name in FAMILY_PARAMS[family]]
+    if "j" not in FAMILY_PARAMS[family]:
+        return (fn(*args),)
+    # every family that takes j takes it second
+    return tuple([fn(n, j, *args[2:]) for j in range(n + 2)])
+
+
+def _msums(
+    family: ClosedFormFamily, n: int, r: int, a: int, kernel: Kernel | None
+) -> tuple[int, ...]:
+    """The M-sums at offsets j = 0..n of the family's kernel row at 2n, at
+    the family's level: one m_sum_vector. The supercat-type kernels are
+    summed at a = r - 1, a family that takes no `a` at 0."""
+    _, kfam, t = FAMILIES[family]
+    if kfam in PARAMETERIZED_FAMILIES:
+        kern = kernel or Kernel(kfam, order=r)
+        a = r - 1
+    else:
+        kern = kernel or Kernel(kfam)
+        a = a if "a" in FAMILY_PARAMS[family] else 0
+    return m_sum_vector(kern.row(2 * n, a), t)
+
+
 def msum_counterpart(
     family: ClosedFormFamily,
     *,
@@ -220,15 +261,27 @@ def msum_counterpart(
     The kernel and level come from FAMILIES. The supercat-type kernels
     are summed at a = r - 1; a family that takes no `a` (or no `j`) is summed
     at 0. `kernel` overrides the family's standard kernel (the verifier uses
-    this to thread fault-injected kernels through)."""
+    this to thread fault-injected kernels through). The value is entry j of
+    the M-sum vector (`msum_counterpart_vector`), 0 past the half index."""
     family = ClosedFormFamily(family)
     _check(family, n, j, r, a)
-    _, kfam, t = FAMILIES[family]
-    takes = FAMILY_PARAMS[family]
-    if kfam in PARAMETERIZED_FAMILIES:
-        kern = kernel or Kernel(kfam, order=r)
-        a = r - 1
-    else:
-        kern = kernel or Kernel(kfam)
-        a = a if "a" in takes else 0
-    return m_sum(kern, 2 * n, j if "j" in takes else 0, t, a)
+    vector = _msums(family, n, r, a, kernel)
+    j = j if "j" in FAMILY_PARAMS[family] else 0
+    return vector[j] if j <= n else 0
+
+
+def msum_counterpart_vector(
+    family: ClosedFormFamily,
+    *,
+    n: int,
+    r: int = 1,
+    a: int = 0,
+    kernel: Kernel | None = None,
+) -> tuple[int, ...]:
+    """msum_counterpart at every offset j = 0..n + 1, the offsets
+    `closed_form_vector` gives (for a family that takes no j, at j = 0
+    alone), from one m_sum_vector of the kernel's row at 2n."""
+    family = ClosedFormFamily(family)
+    _check(family, n, 0, r, a)
+    vector = _msums(family, n, r, a, kernel)
+    return vector + (0,) if "j" in FAMILY_PARAMS[family] else vector[:1]

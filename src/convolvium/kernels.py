@@ -22,11 +22,19 @@ checks a point table once and converts it. `binomial_pair_row` dresses a
 row with the weights binomial(a+k, a) binomial(a+n-k, a), built on each
 call: the verifier dresses each (n, a) once or twice per suite.
 
+Random kernels are custom kernels of values drawn uniformly from [-9, 9].
+`_draw` makes the draws rng.randint(-9, 9) would make, in bulk, and keeps
+each value + 9 in one byte; `random_kernel` builds one kernel's rows from
+them. One `_draw` for c kernels' values gives the kernels c calls would
+give, so eq8 and thm2 draw their 50 kernels at once and read them as byte
+columns (`_drawn_columns`: one (n, k, a) across every kernel), and build
+the 50 kernels (`_drawn_kernels`) only when a packed check fails.
+
 Built-in rows are memoised in `_builtin_row`, an lru_cache of 16 rows
 keyed by (family, order, n, a); custom kernels store their rows and bypass
 it. The verifier asks for the same few rows over and over: one default
-`verify all` makes 2476 row requests for 341 distinct rows, and an LRU of
-2, 8, 16 or 64 rows misses 1833, 1112, 1112 or 961 of them. Sixteen is
+`verify all` makes 1951 row requests for 341 distinct rows, and an LRU of
+2, 8, 16 or 64 rows misses 1371, 1112, 1112 or 961 of them. Sixteen is
 twice the size where the misses level off. A big-n sweep that asks for
 each row once gains nothing and keeps at most 16 rows (about 0.74 MB after
 one pass of the bigint-sweep benchmark).
@@ -273,39 +281,74 @@ def binomial_pair_kernel(g: Kernel, n: int, a: int) -> Kernel:
 
 
 # the top byte b of a 32-bit word as the value its top 5 bits draw, b >> 3
-# minus 9, stored as a signed byte; the bytes 152 and up (5 bits >= 19) are
-# the redraws
-_DRAWN_VALUE = bytes([((b >> 3) - 9) & 0xFF for b in range(152)] + [0] * 104)
+# minus 9, stored as b >> 3 = value + 9; the bytes 152 and up (5 bits >= 19)
+# are the redraws
+_DRAWN = bytes(b >> 3 for b in range(256))
 _REDRAWN = bytes(range(152, 256))
+# a drawn byte as its value, b - 9, stored as a signed byte
+_SIGNED = bytes((b - 9) & 0xFF for b in range(256))
+
+
+def _draw(rng: random.Random, count: int) -> bytes:
+    """`count` values drawn as `count` calls of rng.randint(-9, 9) draw them,
+    each stored as value + 9 in one byte.
+
+    Each value is the draw randint makes, spelled out: 5 random bits,
+    redrawn while >= 19, minus 9. That is CPython's randrange path, so
+    values and generator state match randint's. The draws are made in
+    rounds: getrandbits(32 w) gives w words, word i in bits 32i up, and
+    getrandbits(5) is the top 5 bits of one word, so the w top bytes,
+    redraws deleted, are the values w single draws would give. A round asks
+    only for the values still missing, so the generator never runs past the
+    last value, as one draw at a time would not. So one call for c kernels'
+    values gives the values and the generator state of c calls, one per
+    kernel."""
+    drawn = bytearray()
+    while count > 0:
+        words = rng.getrandbits(32 * count).to_bytes(4 * count, "little")
+        kept = words[3::4].translate(_DRAWN, _REDRAWN)
+        drawn += kept
+        count -= len(kept)
+    return bytes(drawn)
+
+
+def _drawn_size(n_max: int, a_max: int) -> int:
+    """The values one random kernel draws: one per point (n, k, a) with
+    n <= n_max and a <= a_max."""
+    return (a_max + 1) * sum(range(n_max + 2))
+
+
+def _drawn_kernels(drawn: bytes, count: int, n_max: int, a_max: int) -> list[Kernel]:
+    """The `count` random kernels whose draws lie back to back in `drawn`,
+    each `_drawn_size` bytes in (n, k, a) ascending order."""
+    width = a_max + 1
+    values = memoryview(drawn.translate(_SIGNED)).cast("b").tolist()
+    kernels = []
+    for i in range(count):
+        rows = {}
+        start = i * _drawn_size(n_max, a_max)
+        for n in range(n_max + 1):
+            stop = start + (n + 1) * width
+            for a in range(width):
+                rows[(n, a)] = tuple(values[start + a : stop : width])
+            start = stop
+        kernels.append(Kernel(KernelFamily.CUSTOM, rows=rows))
+    return kernels
+
+
+def _drawn_columns(drawn: bytes, n: int, a: int, n_max: int, a_max: int) -> list[bytes]:
+    """Columns k = 0..n at (n, a) of the random kernels drawn back to back
+    in `drawn`: byte i of column k is F(n, k, a) + 9 of kernel i."""
+    width = a_max + 1
+    start = width * n * (n + 1) // 2 + a
+    size = _drawn_size(n_max, a_max)
+    return [drawn[s::size] for s in range(start, start + (n + 1) * width, width)]
 
 
 def random_kernel(rng: random.Random, n_max: int, a_max: int) -> Kernel:
     """Custom kernel whose rows (n, a), n <= n_max, a <= a_max, hold values
-    drawn uniformly from [-9, 9]. The draw order is (n, k, a) ascending, so
-    a seeded rng reproduces the same kernel.
-
-    Each value is the draw rng.randint(-9, 9) makes, spelled out: 5 random
-    bits, redrawn while >= 19, minus 9. That is CPython's randrange path, so
-    values and generator state match randint's. The draws are made in
-    rounds: getrandbits(32 w) gives w words, word i in bits 32i up, and
-    getrandbits(5) is the top 5 bits of one word, so the w top bytes, redraws
-    deleted, are the values w single draws would give. A round asks only for
-    the values still missing, so the generator never runs past the last
-    value, as one draw at a time would not."""
-    width = a_max + 1
-    need = width * sum(range(n_max + 2))
-    drawn = bytearray()
-    while need > 0:
-        words = rng.getrandbits(32 * need).to_bytes(4 * need, "little")
-        kept = words[3::4].translate(_DRAWN_VALUE, _REDRAWN)
-        drawn += kept
-        need -= len(kept)
-    values = memoryview(drawn).cast("b").tolist()
-    rows = {}
-    start = 0
-    for n in range(n_max + 1):
-        stop = start + (n + 1) * width
-        for a in range(width):
-            rows[(n, a)] = tuple(values[start + a : stop : width])
-        start = stop
-    return Kernel(KernelFamily.CUSTOM, rows=rows)
+    drawn uniformly from [-9, 9] by `_draw`. The draw order is (n, k, a)
+    ascending, so a seeded rng reproduces the same kernel, and c kernels
+    drawn by one `_draw` of c times the values are the kernels c calls
+    draw."""
+    return _drawn_kernels(_draw(rng, _drawn_size(n_max, a_max)), 1, n_max, a_max)[0]

@@ -111,11 +111,16 @@ def enumerate_paths(spec: PathSpec) -> list[str]:
             f"at {ENUMERATION_LIMIT}"
         )
     found: list[str] = []
+    # spec.forbids(x, y) on the board, read once: x == y and lo <= x <= hi
+    if spec.touch_set is TouchSet.GESSEL_TAIL:
+        lo, hi = spec.bound, x_max
+    else:
+        lo, hi = 1, spec.bound
 
     def walk(x: int, y: int, steps: str) -> None:
         # R before U: of two paths, the one taking R where they first part
         # has the earlier R position, so the order is ascending in them
-        if spec.forbids(x, y):
+        if x == y and lo <= x <= hi:
             return
         if x == x_max and y == y_max:
             found.append(steps)

@@ -16,10 +16,13 @@ their kernels from a seeded generator, so reports are reproducible byte for
 byte. eq7 and eq8 check all their kernels, built-in and random, and thm2 all
 its random kernels, at once, on one packed row per (n, a) (`_packed_agrees`),
 and check them one at a time only where the packed sides disagree, so a
-failing report lists what the kernel-by-kernel sweep lists. stanley
-compares each (a, b, m) as one packed product, eq14 each (a, b) as one
-block, and kr each r's window as one block. Every suite runs in the calling
-process.
+failing report lists what the kernel-by-kernel sweep lists. The random
+kernels are drawn in one call and packed straight from the drawn bytes
+(`_drawn_block`); their `Kernel`s are built only for that fallback.
+closed-forms compares both sides of each (family, n) as one block of
+vectors, every offset of every instance. stanley compares each (a, b, m) as
+one packed product, eq14 each (a, b) as one block, and kr each r's window
+as one block. Every suite runs in the calling process.
 
 Runtime protection: each suite declares the cases it checks at a resolved
 range. Before running, it refuses (RangeTooLarge) if their estimated time
@@ -34,6 +37,7 @@ import math
 import os
 import random
 import time
+from functools import partial
 from itertools import chain, count, repeat
 from operator import lshift, mod, mul
 from typing import Callable, Iterable, NamedTuple, Sequence
@@ -55,9 +59,12 @@ from .kernels import (
     Kernel,
     KernelFamily,
     _centrals,
+    _draw,
+    _drawn_columns,
+    _drawn_kernels,
+    _drawn_size,
     binomial_pair_kernel,
     binomial_pair_row,
-    random_kernel,
 )
 from .paths import (
     count_paths,
@@ -256,20 +263,30 @@ def _run_psi_m1(ctx: _SuiteCtx) -> None:
 def _run_closed_forms(ctx: _SuiteCtx) -> None:
     """Each closed form against its M-sum at every instance of its kernel
     family: the instance's name (r, a or nothing) is the family's own
-    parameter, and msum_counterpart sums at the instance's a."""
+    parameter, and the M-sum side sums at the instance's a. Each side gives
+    every offset of one (family, n, instance) at once, one past the half
+    index, where both must vanish; the block of one (family, n) is compared
+    offset first, then instance."""
     for family in cf.ClosedFormFamily:
         takes_j = "j" in cf.FAMILY_PARAMS[family]
         insts = _instances(ctx, cf.FAMILIES[family][1])
         for n in range(ctx.params["n_max"] + 1):
-            # probe one offset past the half index: both sides must vanish
-            for j in range(n + 2) if takes_j else (0,):
+
+            def params_at(i: int) -> dict:
+                j, inst = divmod(i, len(insts))
                 at = {"family": family.value, "n": n, **({"j": j} if takes_j else {})}
-                for kern, _, name in insts:
-                    ctx.equal(
-                        {**at, **name},
-                        cf.closed_form(family, n=n, j=j, **name),
-                        cf.msum_counterpart(family, n=n, j=j, kernel=kern, **name),
-                    )
+                return {**at, **insts[inst][2]}
+
+            ctx.equal_all(
+                _j_major([cf.closed_form_vector(family, n=n, **name) for _, _, name in insts]),
+                _j_major(
+                    [
+                        cf.msum_counterpart_vector(family, n=n, kernel=kern, **name)
+                        for kern, _, name in insts
+                    ]
+                ),
+                params_at,
+            )
 
 
 def _builtin_kernels(ctx: _SuiteCtx) -> list[tuple[Kernel, int]]:
@@ -302,7 +319,9 @@ def _eq7_sides(row: Sequence[int], n: int, a: int, m_max: int) -> tuple[list[int
 def _run_eq7(ctx: _SuiteCtx) -> None:
     p = ctx.params
     kernels = _builtin_kernels(ctx)
-    blocks = (([kern.row(n, a) for kern, a in kernels], n, 0) for n in range(p["n_max"] + 1))
+    blocks = (
+        _rows_block([kern.row(n, a) for kern, a in kernels], n, 0) for n in range(p["n_max"] + 1)
+    )
     if _packed_agrees(ctx, blocks, lambda row, n, a: _eq7_sides(row, n, a, p["m_max"])):
         return
     for kern, a in kernels:
@@ -354,57 +373,107 @@ def _packed(rows: list[tuple[int, ...]], bits: int) -> tuple[int, ...]:
     return tuple([sum(map(lshift, column, shifts)) for column in zip(*rows)])
 
 
+def _packed_drawn(columns: list[bytes], size: int) -> list[int]:
+    """Columns of drawn bytes (`kernels._draw`: value + 9 each) as one row:
+    entry k holds the value of byte i of column k in the signed size-byte
+    slot i, as `_packed` at 8 size bits would. Each column is placed in the
+    low byte of every slot of one zeroed buffer and read as one integer, and
+    9 in every slot is taken off."""
+    count = len(columns[0])
+    nines = int.from_bytes(b"\x09".ljust(size, b"\x00") * count, "little")
+    slots = bytearray(size * count)
+    out = []
+    for column in columns:
+        slots[::size] = column
+        out.append(int.from_bytes(slots, "little") - nines)
+    return out
+
+
 # sides(row, n, a): the two sides of an identity for one kernel row at (n, a)
 _Sides = Callable[[Sequence[int], int, int], tuple[Sequence[int], Sequence[int]]]
 
+# a block of rows for `_packed_agrees`: the rows' column-wise largest
+# |entry|; pack(bits), the rows as one row in signed slots at least bits
+# wide; the number of rows; and the (n, a) the sides read
+_Block = tuple[Sequence[int], Callable[[int], Sequence[int]], int, int, int]
 
-def _slot_bits(sides: _Sides, rows: list[tuple[int, ...]], n: int, a: int) -> int:
-    """The slot width for `rows` packed at (n, a): both sides' outputs on
-    the rows' column-wise largest |entry| lie below 2^(bits-1)."""
+
+def _rows_block(rows: list[tuple[int, ...]], n: int, a: int) -> _Block:
+    """A block of rows packed by shifts (`_packed`)."""
     top = [max(map(abs, column)) for column in zip(*rows)]
+    return top, partial(_packed, rows), len(rows), n, a
+
+
+def _drawn_block(rows: list[tuple[int, ...]], columns: list[bytes], n: int, a: int) -> _Block:
+    """A block of the rows `rows` (maybe none), then the drawn rows whose
+    byte columns are `columns`. The slot width is rounded up to whole bytes:
+    `rows` take the low slots, packed by shifts, and the drawn rows the
+    slots above them (`_packed_drawn`). A drawn column's largest |entry| is
+    read from its largest and smallest byte."""
+    top = [max(max(column) - 9, 9 - min(column)) for column in columns]
+    if rows:
+        top = list(map(max, top, (max(map(abs, column)) for column in zip(*rows))))
+
+    def pack(bits: int) -> Sequence[int]:
+        size = -(-bits // 8)
+        drawn = _packed_drawn(columns, size)
+        if not rows:
+            return drawn
+        shift = 8 * size * len(rows)
+        return [low + (high << shift) for low, high in zip(_packed(rows, 8 * size), drawn)]
+
+    return top, pack, len(rows) + len(columns[0]), n, a
+
+
+def _slot_bits(sides: _Sides, top: Sequence[int], n: int, a: int) -> int:
+    """The slot width for rows packed at (n, a) whose column-wise largest
+    |entry| is `top`: both sides' outputs on top lie below 2^(bits-1)."""
     bound = max(map(abs, chain(*sides(top, n, a))))
     return bound.bit_length() + 1
 
 
-def _packed_agrees(
-    ctx: _SuiteCtx, blocks: Iterable[tuple[list[tuple[int, ...]], int, int]], sides: _Sides
-) -> bool:
+def _packed_agrees(ctx: _SuiteCtx, blocks: Iterable[_Block], sides: _Sides) -> bool:
     """Whether sides(row, n, a) gives two equal sequences for every row of
-    every block (rows, n, a); if so, their cases are counted as checking
-    the rows one by one counts them.
+    every block; if so, their cases are counted as checking the rows one by
+    one counts them.
 
     Each side is linear in the row, and every coefficient in it is
     non-negative, so a block's rows go through both sides at once, packed
-    into one row (`_packed`; Kronecker substitution). A slot of a side's
-    output is then that side applied to one row, so its magnitude is at
-    most that side applied to the rows' column-wise largest |entry|. With
-    2^(bits-1) above both sides' bounds (`_slot_bits`) every slot has one
-    value, and two packed outputs are equal exactly when every slot agrees.
-    The blocks are read one at a time, and none after the first mismatch."""
+    into one row (Kronecker substitution). A slot of a side's output is
+    then that side applied to one row, so its magnitude is at most that
+    side applied to the rows' column-wise largest |entry|. With 2^(bits-1)
+    above both sides' bounds (`_slot_bits`) every slot has one value, and
+    two packed outputs are equal exactly when every slot agrees. The blocks
+    are read one at a time, and none after the first mismatch."""
     cases = 0
-    for rows, n, a in blocks:
-        direct, other = sides(_packed(rows, _slot_bits(sides, rows, n, a)), n, a)
+    for top, pack, count, n, a in blocks:
+        direct, other = sides(pack(_slot_bits(sides, top, n, a)), n, a)
         if direct != other:
             return False
-        cases += len(direct) * len(rows)
+        cases += len(direct) * count
     ctx.cases += cases
     return True
 
 
 def _run_eq8(ctx: _SuiteCtx) -> None:
     p = ctx.params
-    levels_up = p["m_max"]
-    rng = ctx.rng()
-    # the built-in kernels, then the random ones, each with its label and a
-    kernels = [(kern.label, kern, a) for kern, a in _builtin_kernels(ctx)] + [
-        (f"custom[{i}]", random_kernel(rng, p["n_max"], 0), 0) for i in range(FUZZ_KERNEL_COUNT)
-    ]
-    blocks = (([kern.row(n, a) for _, kern, a in kernels], n, 0) for n in range(p["n_max"] + 1))
+    n_max, levels_up = p["n_max"], p["m_max"]
+    builtin = [(kern.label, kern, a) for kern, a in _builtin_kernels(ctx)]
+    drawn = _draw(ctx.rng(), FUZZ_KERNEL_COUNT * _drawn_size(n_max, 0))
+    blocks = (
+        _drawn_block(
+            [kern.row(n, a) for _, kern, a in builtin], _drawn_columns(drawn, n, 0, n_max, 0), n, 0
+        )
+        for n in range(n_max + 1)
+    )
     if _packed_agrees(ctx, blocks, lambda row, n, a: _eq8_sides(row, levels_up)):
         return
-    # kernel by kernel only where the packed sides disagree
+    # kernel by kernel only where the packed sides disagree: the built-in
+    # kernels, then the random ones, each with its label and a
+    fuzz = _drawn_kernels(drawn, FUZZ_KERNEL_COUNT, n_max, 0)
+    kernels = builtin + [(f"custom[{i}]", kern, 0) for i, kern in enumerate(fuzz)]
     for label, kern, a in kernels:
-        for n in range(p["n_max"] + 1):
+        for n in range(n_max + 1):
 
             def params_at(i: int) -> dict:
                 j, t = divmod(i, levels_up)
@@ -415,12 +484,14 @@ def _run_eq8(ctx: _SuiteCtx) -> None:
 
 def _run_thm2(ctx: _SuiteCtx) -> None:
     p = ctx.params
-    rng = ctx.rng()
-    fuzz = [random_kernel(rng, p["n_max"], p["a_max"]) for _ in range(FUZZ_KERNEL_COUNT)]
-    boxes = [(n, a) for n in range(p["n_max"] + 1) for a in range(p["a_max"] + 1)]
-    blocks = (([g.row(n, a) for g in fuzz], n, a) for n, a in boxes)
+    n_max, a_max = p["n_max"], p["a_max"]
+    drawn = _draw(ctx.rng(), FUZZ_KERNEL_COUNT * _drawn_size(n_max, a_max))
+    boxes = [(n, a) for n in range(n_max + 1) for a in range(a_max + 1)]
+    blocks = (
+        _drawn_block([], _drawn_columns(drawn, n, a, n_max, a_max), n, a) for n, a in boxes
+    )
     if not _packed_agrees(ctx, blocks, _thm2_sides):
-        for i, g in enumerate(fuzz):
+        for i, g in enumerate(_drawn_kernels(drawn, FUZZ_KERNEL_COUNT, n_max, a_max)):
             for n, a in boxes:
                 ctx.equal_all(
                     *_thm2_sides(g.row(n, a), n, a),
@@ -429,7 +500,7 @@ def _run_thm2(ctx: _SuiteCtx) -> None:
     # the named instance: the gessel(r) kernel is the binomial-pair dressing
     # of half-supercat(r) at a = r - 1, so the transplant must reproduce its
     # offset M-sums
-    h_max = min(6, p["n_max"])
+    h_max = min(6, n_max)
     for r in range(1, p["r_max"] + 1):
         g = ctx.mk(KernelFamily.HALF_SUPERCAT, r)
         q = ctx.mk(KernelFamily.GESSEL, r)
@@ -506,13 +577,16 @@ def _run_stanley(ctx: _SuiteCtx) -> None:
             rising = [pascal[a + b + k][k] for k in range(top + 1)]
             from_b = falling[b]
             for m in range(top + 1):
-                # binomial(a, m-k) binomial(a+b+k, k) for k = 0..m
-                w = list(map(mul, falling[a][m], rising))
-                left = list(map(mul, down[m], pascal[b + m]))
-                packed = sum(map(lshift, left, shifts)) - sum(map(lshift, w, shifts)) * ones[b]
-                if not packed & low:
+                # left[n] = binomial(a+n, m) binomial(b+m, n) for n = 0..top
+                # and w[k] = binomial(a, m-k) binomial(a+b+k, k) for k = 0..m,
+                # each packed as it is made; as lists only if the slots differ
+                packed_left = sum(map(lshift, map(mul, down[m], pascal[b + m]), shifts))
+                packed_w = sum(map(lshift, map(mul, falling[a][m], rising), shifts))
+                if not (packed_left - packed_w * ones[b]) & low:
                     ctx.cases += top + 1
                     continue
+                left = list(map(mul, down[m], pascal[b + m]))
+                w = list(map(mul, falling[a][m], rising))
                 # each sum stops at k = min(m, n), where one of its slices runs out
                 ctx.equal_all(
                     left,
@@ -699,7 +773,7 @@ _REGISTRY: dict[str, SuiteSpec] = {
             # each a, one central and three ordered at each r; phi-00 at each r
             lambda p: (5 + 2 * p["a_max"] + 3 * p["r_max"]) * (math.comb(p["n_max"] + 3, 2) - 1)
             + p["r_max"] * (p["n_max"] + 1),
-            17.0,
+            10.3,
         ),
         SuiteSpec(
             "eq7",
@@ -720,7 +794,7 @@ _REGISTRY: dict[str, SuiteSpec] = {
             # kernel (plain, central, rising at each a, three ordered at each r)
             lambda p: (3 + p["a_max"] + 3 * p["r_max"] + FUZZ_KERNEL_COUNT)
             * p["m_max"] * ((p["n_max"] + 2) ** 2 // 4),
-            1.1,
+            0.74,
         ),
         SuiteSpec(
             "thm2",
@@ -731,7 +805,7 @@ _REGISTRY: dict[str, SuiteSpec] = {
             # j <= n at each (n, a) per fuzz kernel, j <= h at n = 2h <= 12 per r
             lambda p: FUZZ_KERNEL_COUNT * (p["a_max"] + 1) * math.comb(p["n_max"] + 2, 2)
             + p["r_max"] * math.comb(min(6, p["n_max"]) + 2, 2),
-            1.2,
+            0.52,
         ),
         SuiteSpec(
             "eq2-eq4",
@@ -749,7 +823,7 @@ _REGISTRY: dict[str, SuiteSpec] = {
             {"n_max": 12},
             _run_stanley,
             lambda p: (p["n_max"] + 1) ** 4,
-            0.52,
+            0.47,
         ),
         SuiteSpec(
             "eq14",
@@ -786,7 +860,7 @@ _REGISTRY: dict[str, SuiteSpec] = {
             {"n_max": 10, "r_max": 6},
             _run_paths,
             _paths_cases,
-            56.0,
+            49.0,
             minimums={"n_max": 1, "r_max": 1},
         ),
     )
@@ -856,6 +930,13 @@ def _check_bump(bump: Kernel | None) -> None:
         )
 
 
+def _check_seed(sweep: SweepRange) -> None:
+    """Refuse a negative seed: random.Random(-s) seeds as Random(s) does, so
+    two recorded seeds would replay one draw."""
+    if sweep.seed < 0:
+        raise ValueError(f"seed must be non-negative, got {sweep.seed}")
+
+
 def run_suite(
     name: str,
     sweep: SweepRange | None = None,
@@ -866,8 +947,8 @@ def run_suite(
     """Run one suite and return its report.
 
     Raises UnknownSuite for an unregistered name, ValueError for a custom or
-    unbumped `bump`, and RangeTooLarge when the resolved range's estimated
-    runtime exceeds the budget.
+    unbumped `bump` or a negative seed, and RangeTooLarge when the resolved
+    range's estimated runtime exceeds the budget.
     """
     spec = _REGISTRY.get(name)
     if spec is None:
@@ -876,6 +957,7 @@ def run_suite(
         )
     _check_bump(bump)
     sweep = sweep if sweep is not None else SweepRange()
+    _check_seed(sweep)
     params, notes = _resolve_params(spec, sweep)
     budget = _resolve_budget(budget_ms)
     cases, est_ms = _estimate(spec, params)
@@ -932,16 +1014,18 @@ def run_all(
 ) -> list[VerificationReport]:
     """Run every registered suite and return the reports in registry order.
 
-    The bump and the budget are checked once, before any suite runs, so a
-    custom or unbumped `bump` or a malformed CONVOLVIUM_BUDGET_MS raises
-    ValueError (a usage error) instead of becoming one failing report per
-    suite. A suite that raises (over budget, or a genuine bug) is converted
-    into a failing report rather than aborting the batch. The suites run one
-    after another in this process.
+    The bump, the seed and the budget are checked once, before any suite
+    runs, so a custom or unbumped `bump`, a negative seed or a malformed
+    CONVOLVIUM_BUDGET_MS raises ValueError (a usage error) instead of
+    becoming one failing report per suite. A suite that raises (over
+    budget, or a genuine bug) is converted into a failing report rather
+    than aborting the batch. The suites run one after another in this
+    process.
     """
     _check_bump(bump)
-    budget = _resolve_budget(budget_ms)
     sweep = sweep if sweep is not None else SweepRange()
+    _check_seed(sweep)
+    budget = _resolve_budget(budget_ms)
     return [_run_or_abort(name, sweep, bump, budget) for name in _REGISTRY]
 
 

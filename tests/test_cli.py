@@ -245,7 +245,7 @@ def test_verify_malformed_budget_is_a_usage_error(capsys, monkeypatch):
 _GOLDEN_REPORT_SHA256 = "e7b24ce45eac6fe3b73e906efcca67e101e514a57d80875130dc5b70a18d9903"
 
 
-def _cli_subprocess(*argv, timeout, **env):
+def _cli_subprocess(*argv, timeout, stdout=subprocess.PIPE, **env):
     """`python -m convolvium ARGV` in a fresh interpreter, killed after
     `timeout` seconds."""
     src = str(Path(convolvium.__file__).resolve().parent.parent)
@@ -253,7 +253,8 @@ def _cli_subprocess(*argv, timeout, **env):
     return subprocess.run(
         [sys.executable, "-m", "convolvium", *argv],
         env={**os.environ, "PYTHONPATH": path, **env},
-        capture_output=True,
+        stdout=stdout,
+        stderr=subprocess.PIPE,
         text=True,
         timeout=timeout,
     )
@@ -284,6 +285,43 @@ def test_verify_all_json_matches_golden_digest(capsys, monkeypatch):
     code, out, _ = run(capsys, "verify", "all", "--format", "json")
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == _GOLDEN_REPORT_SHA256
+
+
+def test_verify_refuses_a_negative_seed(capsys):
+    # Random(-5) draws what Random(5) draws: the report would record -5
+    code, out, err = run(capsys, "verify", "thm2", "--seed", "-5")
+    assert code == 2 and out == ""
+    assert err == "error: --seed must be non-negative, got -5\n"
+
+
+def test_python_m_convolvium_exits_as_main_returns_and_keeps_its_output(tmp_path):
+    # `python -m convolvium` freezes the garbage collector once main has
+    # returned: the exit code, stdout and the --out file are main's
+    done = _cli_subprocess("verify", "all", "--format", "json", timeout=60)
+    assert done.returncode == 0 and done.stderr == ""
+    assert hashlib.sha256(done.stdout.encode()).hexdigest() == _GOLDEN_REPORT_SHA256
+    target = tmp_path / "all.json"
+    written = _cli_subprocess("verify", "all", "--format", "json", "--out", str(target), timeout=60)
+    assert written.returncode == 0 and written.stdout == ""
+    assert written.stderr == f"wrote {target}\n"
+    assert target.read_bytes() == done.stdout.encode()
+    refused = _cli_subprocess("verify", "no-such-suite", timeout=30)
+    assert refused.returncode == 2 and refused.stdout == ""
+    assert refused.stderr.startswith("error: unknown suite")
+
+
+def test_python_m_convolvium_on_a_closed_stdout_pipe_is_not_a_usage_error():
+    # test_verify_broken_stdout_is_not_a_usage_error in a fresh interpreter:
+    # the write raises BrokenPipeError out of main, exit 1, never exit 2
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        done = _cli_subprocess("verify", "remark1", timeout=30, stdout=write)
+    finally:
+        os.close(write)
+    assert done.returncode == 1
+    assert done.stderr.splitlines()[-1] == "BrokenPipeError: [Errno 32] Broken pipe"
+    assert not any(line.startswith("error: ") for line in done.stderr.splitlines())
 
 
 def test_verify_bad_jobs(capsys):

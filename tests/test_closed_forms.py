@@ -24,7 +24,9 @@ from convolvium.closed_forms import (
     FAMILY_PARAMS,
     ClosedFormFamily,
     closed_form,
+    closed_form_vector,
     msum_counterpart,
+    msum_counterpart_vector,
 )
 from convolvium.exact import NonDivisible, binomial, half_super_catalan
 from convolvium.kernels import PARAMETERIZED_FAMILIES, Kernel, _sign, custom_kernel
@@ -156,6 +158,27 @@ def test_closed_form_equals_m_sum(family):
                     expected = msum_counterpart(family, n=n, j=j, r=r, a=a)
                     actual = closed_form(family, n=n, j=j, r=r, a=a)
                     assert actual == expected, (family, n, j, r, a)
+
+
+@pytest.mark.parametrize("family", list(ClosedFormFamily))
+def test_each_side_of_one_n_is_one_vector(family):
+    # the verifier reads each side of one (family, n, instance) as one
+    # vector: entry j is the scalar side at j for j = 0..n + 1 (j = 0 alone
+    # for a family without j), and a bad argument is refused alike
+    takes_j = "j" in FAMILY_PARAMS[family]
+    for n in range(8):
+        offsets = range(n + 2) if takes_j else (0,)
+        for r in (1, 3):
+            for a in (0, 2):
+                closed = closed_form_vector(family, n=n, r=r, a=a)
+                assert closed == tuple(closed_form(family, n=n, j=j, r=r, a=a) for j in offsets)
+                assert msum_counterpart_vector(family, n=n, r=r, a=a) == closed
+    valid = {"n": 2, "r": 2, "a": 1}
+    for name, value in (("n", -1), ("r", 0), ("a", -1)):
+        if name in FAMILY_PARAMS[family]:
+            message = _refusal(closed_form, family, **{**valid, name: value})
+            assert _refusal(closed_form_vector, family, **{**valid, name: value}) == message
+            assert _refusal(msum_counterpart_vector, family, **{**valid, name: value}) == message
 
 
 def test_vanishing_past_half_index():

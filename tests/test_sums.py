@@ -381,6 +381,34 @@ def test_random_kernel_draws_what_one_draw_per_value_draws(seed, n_max, a_max):
     assert rng.random() == reference.random()
 
 
+@pytest.mark.parametrize("seed", [0, 7, 24301])
+@pytest.mark.parametrize("n_max,a_max", [(12, 0), (10, 3)])
+def test_one_draw_of_fifty_kernels_is_fifty_random_kernels(seed, n_max, a_max):
+    # eq8 and thm2 draw their 50 kernels in one call and read them as byte
+    # columns: the kernels, their columns and the generator's next value
+    # must be those of 50 random_kernel calls
+    rng, reference = random.Random(seed), random.Random(seed)
+    drawn = kernels._draw(rng, 50 * kernels._drawn_size(n_max, a_max))
+    fifty = [random_kernel(reference, n_max, a_max) for _ in range(50)]
+    assert [kern.rows for kern in kernels._drawn_kernels(drawn, 50, n_max, a_max)] == [
+        kern.rows for kern in fifty
+    ]
+    for n in range(n_max + 1):
+        for a in range(a_max + 1):
+            columns = kernels._drawn_columns(drawn, n, a, n_max, a_max)
+            assert [[v - 9 for v in column] for column in columns] == [
+                list(column) for column in zip(*(kern.row(n, a) for kern in fifty))
+            ]
+    assert rng.random() == reference.random()
+
+
+@pytest.mark.parametrize("n_max,a_max", [(-1, 0), (-3, 2), (4, -1)])
+def test_a_random_kernel_over_an_empty_box_draws_nothing(n_max, a_max):
+    rng = random.Random(3)
+    assert random_kernel(rng, n_max, a_max).rows == {}
+    assert rng.random() == random.Random(3).random()
+
+
 def test_custom_and_random_rows_read_the_table():
     table = {(3, k, 2): 10 * k - 7 for k in range(4)}
     assert custom_kernel(table).row(3, 2) == (-7, 3, 13, 23)

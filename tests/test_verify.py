@@ -393,6 +393,20 @@ def test_a_custom_or_unbumped_bump_is_refused_before_any_suite_runs(bump):
         run_all(_TRIM, bump=bump)
 
 
+def test_a_negative_seed_is_refused_before_any_suite_runs(monkeypatch):
+    # Random(-5) draws what Random(5) draws, so a report recording seed -5
+    # would replay seed 5's kernels under another name
+    assert random.Random(-5).random() == random.Random(5).random()
+    ran = []
+    monkeypatch.setattr(verify, "_run_or_abort", lambda *args: ran.append(args))
+    with pytest.raises(ValueError, match="seed must be non-negative, got -5"):
+        run_suite("thm2", SweepRange(seed=-5))
+    with pytest.raises(ValueError, match="seed must be non-negative, got -5"):
+        run_all(SweepRange(seed=-5))
+    assert ran == []
+    assert run_suite("thm2", SweepRange(n_max=2, a_max=0, r_max=1, seed=0)).range["seed"] == 0
+
+
 # ---------------------------------------------------------------- independence
 #
 # Each identity suite computes its two sides by separate code: the direct
@@ -581,22 +595,53 @@ def test_unpacked_packed_sides_equal_the_per_row_sides(sides, a):
     # meet the bound, so slots one bit narrower must garble both
     rng = random.Random(22)
     for n in (*range(14), 40, 200):
-        rows = [
+        drawn = [
             (9,) * (n + 1),
             (-9,) * (n + 1),
             tuple(9 if k % 2 else -9 for k in range(n + 1)),
             *(tuple(rng.randint(-9, 9) for _ in range(n + 1)) for _ in range(3)),
-            *(kern.row(n, b) for kern, b in _BUILTIN_AT if n <= 40),
         ]
+        rows = [*drawn, *(kern.row(n, b) for kern, b in _BUILTIN_AT if n <= 40)]
         rows.append(tuple(max(map(abs, column)) for column in zip(*rows)))
         per_row = [sides(row, n, a) for row in rows]
-        bits = verify._slot_bits(sides, rows, n, a)
+        bits = verify._slot_bits(sides, rows[-1], n, a)
         for width, agrees in ((bits, True), (bits - 1, False)):
-            packed = sides(verify._packed(rows, width), n, a)
-            for side, got in enumerate(packed):
-                want = [(list(slots), 0) for slots in zip(*(out[side] for out in per_row))]
-                unpacked = [_unpacked(v, width, len(rows)) for v in got]
-                assert (unpacked == want) is agrees
+            packed = verify._packed(rows, width)
+            assert _unpacks_to_the_sides(sides, per_row, n, a, packed, width) == [agrees] * 2
+        # the rows in [-9, 9] packed from their drawn bytes, above the others
+        # packed by shifts, at the width rounded up to whole bytes; a byte
+        # less must garble both sides
+        columns = [bytes(v + 9 for v in column) for column in zip(*drawn)]
+        shifted = rows[len(drawn) :]
+        top, pack, count, _, _ = verify._drawn_block(shifted, columns, n, a)
+        assert top == list(rows[-1]) and count == len(rows)
+        size = -(-bits // 8)
+        in_slot_order = per_row[len(drawn) :] + per_row[: len(drawn)]
+        for width, agrees in ((size, True), (size - 1, False)):
+            if width:
+                packed = pack(8 * width)
+                unpacked = _unpacks_to_the_sides(sides, in_slot_order, n, a, packed, 8 * width)
+                assert unpacked == [agrees] * 2
+        # drawn rows alone, as thm2 packs them, without the all-9 and all-(-9)
+        # rows: a column's largest |value| is read off its bytes, and may be
+        # a -9 with no 9 beside it
+        alone = drawn[2:]
+        top, pack, count, _, _ = verify._drawn_block([], [c[2:] for c in columns], n, a)
+        assert top == [max(map(abs, column)) for column in zip(*alone)] and count == len(alone)
+        bits = verify._slot_bits(sides, top, n, a)
+        width = 8 * -(-bits // 8)
+        unpacked = _unpacks_to_the_sides(sides, per_row[2 : len(drawn)], n, a, pack(bits), width)
+        assert unpacked == [True] * 2
+
+
+def _unpacks_to_the_sides(sides, per_row, n, a, packed, bits):
+    """For each side, whether its output on the packed row, unpacked into
+    bits-wide slots, is its output on each row in turn (`per_row`)."""
+    return [
+        [_unpacked(v, bits, len(per_row)) for v in got]
+        == [(list(slots), 0) for slots in zip(*(out[side] for out in per_row))]
+        for side, got in enumerate(sides(packed, n, a))
+    ]
 
 
 def test_a_green_sweep_checks_its_kernels_packed(monkeypatch):
