@@ -320,13 +320,14 @@ def _drawn_size(n_max: int, a_max: int) -> int:
 
 def _drawn_kernels(drawn: bytes, count: int, n_max: int, a_max: int) -> list[Kernel]:
     """The `count` random kernels whose draws lie back to back in `drawn`,
-    each `_drawn_size` bytes in (n, k, a) ascending order."""
-    width = a_max + 1
+    each `_drawn_size` bytes in (n, k, a) ascending order, the layout
+    `_drawn_columns` reads."""
+    width, size = a_max + 1, _drawn_size(n_max, a_max)
     values = memoryview(drawn.translate(_SIGNED)).cast("b").tolist()
     kernels = []
     for i in range(count):
         rows = {}
-        start = i * _drawn_size(n_max, a_max)
+        start = i * size
         for n in range(n_max + 1):
             stop = start + (n + 1) * width
             for a in range(width):

@@ -37,7 +37,6 @@ import math
 import os
 import random
 import time
-from functools import partial
 from itertools import chain, count, repeat
 from operator import lshift, mod, mul
 from typing import Callable, Iterable, NamedTuple, Sequence
@@ -401,7 +400,7 @@ _Block = tuple[Sequence[int], Callable[[int], Sequence[int]], int, int, int]
 def _rows_block(rows: list[tuple[int, ...]], n: int, a: int) -> _Block:
     """A block of rows packed by shifts (`_packed`)."""
     top = [max(map(abs, column)) for column in zip(*rows)]
-    return top, partial(_packed, rows), len(rows), n, a
+    return top, lambda bits: _packed(rows, bits), len(rows), n, a
 
 
 def _drawn_block(rows: list[tuple[int, ...]], columns: list[bytes], n: int, a: int) -> _Block:
