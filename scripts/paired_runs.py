@@ -11,9 +11,11 @@ finish, stops the script (exit 1).
 
 For each end-to-end metric in CHANGE_DIR/BENCHMARK.json it prints each
 side's median [q1, q3], the change of the median in %, the pairs the change
-won (its value strictly better, in the metric's declared direction), and
+won (its value strictly better, in the metric's declared direction),
 whether the change's median is better than the parent's by more than the
-parent's quartile distance.
+parent's quartile distance, and, for a metric with a `bound`, whether the
+change's median is worse than the parent's by more than that bound, read as
+a fraction of the parent's median.
 """
 
 from __future__ import annotations
@@ -58,11 +60,15 @@ def summarize(pairs: list[tuple[dict, dict]], end_to_end: list[dict]) -> list[st
         pct = (cm - pm) / pm * 100 if pm else float("nan")
         gain = pm - cm if lower else cm - pm
         beyond = "yes" if gain > p3 - p1 else "no"
-        lines.append(
+        line = (
             f"{name} ({metric['unit']}, {metric['better']} is better): "
             f"parent {pm:.6g} [{p1:.6g}, {p3:.6g}]  change {cm:.6g} [{c1:.6g}, {c3:.6g}]  "
             f"{pct:+.1f}%  wins {wins}/{len(pairs)}  better beyond parent IQR: {beyond}"
         )
+        if "bound" in metric:
+            worse = "yes" if -gain > metric["bound"] * abs(pm) else "no"
+            line += f"  worse beyond bound: {worse}"
+        lines.append(line)
     return lines
 
 

@@ -48,9 +48,6 @@ _CONVOLUTIONS = {
     "quarter-psi": quarter_psi,
 }
 
-# the quantities both compute and table offer
-_SHARED_QUANTITIES = ("binomial", "catalan", "supercatalan", "gessel", *_CONVOLUTIONS)
-
 # the options each compute quantity reads: msum also reads --r for an
 # ordered kernel, closed-form its family's FAMILY_PARAMS
 _COMPUTE_OPTIONS: dict[str, tuple[str, ...]] = {
@@ -61,6 +58,16 @@ _COMPUTE_OPTIONS: dict[str, tuple[str, ...]] = {
     **dict.fromkeys(_CONVOLUTIONS, ("n", "m", "r")),
     "msum": ("kernel", "n", "j", "t", "a"),
     "closed-form": ("family",),
+}
+
+# the options each table quantity reads
+_TABLE_OPTIONS: dict[str, tuple[str, ...]] = {
+    "binomial": ("n_max",),
+    "catalan": ("n_max",),
+    "supercatalan": ("n_max", "r_max"),
+    "gessel": ("n_max", "r_max"),
+    **dict.fromkeys(_CONVOLUTIONS, ("n_max", "r_max", "m")),
+    "kr": ("r_max",),
 }
 
 # kernel families constructible from the command line (custom needs a table)
@@ -143,12 +150,13 @@ def _build_parser() -> argparse.ArgumentParser:
         help="emit a CSV sweep of one quantity",
         description="CSV with a header row. Grid quantities sweep n up to "
         "--n-max and r up to --r-max (default 5); phi, psi, and quarter-psi "
-        "evaluate at weight --m (default 1); kr needs only --r-max.",
+        "evaluate at weight --m (default 1); kr reads only --r-max. An option "
+        "the quantity does not read is a usage error.",
     )
-    tab.add_argument("quantity", choices=(*_SHARED_QUANTITIES, "kr"))
+    tab.add_argument("quantity", choices=tuple(_TABLE_OPTIONS))
     tab.add_argument("--n-max", dest="n_max", type=int, default=None)
     tab.add_argument("--r-max", dest="r_max", type=int, default=None)
-    tab.add_argument("--m", type=int, default=1)
+    tab.add_argument("--m", type=int, default=None)
 
     return parser
 
@@ -180,13 +188,18 @@ def _check_options(args: argparse.Namespace) -> None:
             raise _UsageError("compute closed-form requires --family")
         what = f"closed-form --family {args.family}"
         takes += FAMILY_PARAMS[ClosedFormFamily(args.family)]
+    _refuse_unread(args, what, takes)
+
+
+def _refuse_unread(args: argparse.Namespace, what: str, takes: tuple[str, ...]) -> None:
+    """Refuse every option given that `what` does not read, naming each."""
     unread = [
-        f"--{name}"
+        f"--{name.replace('_', '-')}"
         for name, value in vars(args).items()
         if name not in ("command", "quantity", *takes) and value is not None
     ]
     if unread:
-        raise _UsageError(f"compute {what} does not take {' or '.join(unread)}")
+        raise _UsageError(f"{args.command} {what} does not take {' or '.join(unread)}")
 
 
 def _cmd_compute(args: argparse.Namespace) -> int:
@@ -308,14 +321,15 @@ def _table_rows(args: argparse.Namespace) -> tuple[tuple[str, ...], Iterable[tup
         return ("n", "r", "value"), (
             (n, r, gessel(n, r)) for n in range(n_max + 1) for r in range(1, r_max + 1)
         )
-    fn = _CONVOLUTIONS[q]
+    fn, m = _CONVOLUTIONS[q], _opt(args.m, 1)
     return ("n", "r", "value"), (
-        (n, r, fn(n, args.m, r)) for n in range(n_max + 1) for r in range(1, r_max + 1)
+        (n, r, fn(n, m, r)) for n in range(n_max + 1) for r in range(1, r_max + 1)
     )
 
 
 def _cmd_table(args: argparse.Namespace) -> int:
-    if args.m < 1:
+    _refuse_unread(args, args.quantity, _TABLE_OPTIONS[args.quantity])
+    if args.m is not None and args.m < 1:
         raise _UsageError("--m must be at least 1")
     if args.r_max is not None and args.r_max < 1:
         raise _UsageError("--r-max must be at least 1")

@@ -13,12 +13,11 @@ every bump is caught: eq7 and eq8 hold for any kernel and the other suites
 read kernel rows only at even n, so a bump at odd n, or on a kernel the box
 never builds, leaves every suite green. Randomized suites (eq8, thm2) derive
 their kernels from a seeded generator, so reports are reproducible byte for
-byte. eq7 and eq8 check all their kernels, built-in and random, and thm2 all
-its random kernels, at once, on one packed row per (n, a) (`_packed_agrees`),
-and check them one at a time only where the packed sides disagree, so a
-failing report lists what the kernel-by-kernel sweep lists. The random
-kernels are drawn in one call and packed straight from the drawn bytes
-(`_drawn_block`); their `Kernel`s are built only for that fallback.
+byte. eq7, eq8 and thm2 each declare one check linear in the kernel row
+(`_run_linear`), which checks every kernel at once on one packed row per
+(n, a) (`_packed_agrees`), the random rows packed straight from the drawn
+bytes (`_drawn_block`), and kernel by kernel only where the packed sides
+disagree, so a failing report lists what the kernel-by-kernel sweep lists.
 closed-forms compares both sides of each (family, n) as one block of
 vectors, every offset of every instance. stanley compares each (a, b, m) as
 one packed product, eq14 each (a, b) as one block, and kr each r's window
@@ -288,19 +287,17 @@ def _run_closed_forms(ctx: _SuiteCtx) -> None:
             )
 
 
-def _builtin_kernels(ctx: _SuiteCtx) -> list[tuple[Kernel, int]]:
-    """Every built-in kernel instance the sweep covers, paired with the `a`
-    it is summed at: plain, central, rising at each a, then the three ordered
-    families for each r in turn."""
-    out = [
-        (kern, a)
-        for family in (KernelFamily.PLAIN, KernelFamily.CENTRAL, KernelFamily.RISING)
-        for kern, a, _ in _instances(ctx, family)
-    ]
+def _builtin_kernels(ctx: _SuiteCtx) -> list[tuple[str, Kernel, int]]:
+    """Every built-in kernel instance the sweep covers, with its label and
+    the `a` it is summed at: plain, central, rising at each a, then the
+    three ordered families for each r in turn."""
+    unordered = (KernelFamily.PLAIN, KernelFamily.CENTRAL, KernelFamily.RISING)
     ordered = (KernelFamily.SUPERCAT, KernelFamily.HALF_SUPERCAT, KernelFamily.GESSEL)
-    for same_r in zip(*(_instances(ctx, family) for family in ordered)):
-        out.extend((kern, a) for kern, a, _ in same_r)
-    return out
+    instances = chain(
+        *(_instances(ctx, family) for family in unordered),
+        *zip(*(_instances(ctx, family) for family in ordered)),
+    )
+    return [(kern.label, kern, a) for kern, a, _ in instances]
 
 
 def _eq7_sides(row: Sequence[int], n: int, a: int, m_max: int) -> tuple[list[int], list[int]]:
@@ -313,24 +310,6 @@ def _eq7_sides(row: Sequence[int], n: int, a: int, m_max: int) -> tuple[list[int
         [direct_sum(kern, n, m, a) for m in weights],
         [m_sum(kern, n, 0, m - 1, a) for m in weights],
     )
-
-
-def _run_eq7(ctx: _SuiteCtx) -> None:
-    p = ctx.params
-    kernels = _builtin_kernels(ctx)
-    blocks = (
-        _rows_block([kern.row(n, a) for kern, a in kernels], n, 0) for n in range(p["n_max"] + 1)
-    )
-    if _packed_agrees(ctx, blocks, lambda row, n, a: _eq7_sides(row, n, a, p["m_max"])):
-        return
-    for kern, a in kernels:
-        for n in range(p["n_max"] + 1):
-            for m in range(1, p["m_max"] + 1):
-                ctx.equal(
-                    {"kernel": kern.label, "n": n, "m": m, "a": a},
-                    direct_sum(kern, n, m, a),
-                    m_sum(kern, n, 0, m - 1, a),
-                )
 
 
 def _j_major(vectors: list[tuple[int, ...]]) -> tuple[int, ...]:
@@ -397,23 +376,20 @@ _Sides = Callable[[Sequence[int], int, int], tuple[Sequence[int], Sequence[int]]
 _Block = tuple[Sequence[int], Callable[[int], Sequence[int]], int, int, int]
 
 
-def _rows_block(rows: list[tuple[int, ...]], n: int, a: int) -> _Block:
-    """A block of rows packed by shifts (`_packed`)."""
-    top = [max(map(abs, column)) for column in zip(*rows)]
-    return top, lambda bits: _packed(rows, bits), len(rows), n, a
-
-
 def _drawn_block(rows: list[tuple[int, ...]], columns: list[bytes], n: int, a: int) -> _Block:
-    """A block of the rows `rows` (maybe none), then the drawn rows whose
-    byte columns are `columns`. The slot width is rounded up to whole bytes:
-    `rows` take the low slots, packed by shifts, and the drawn rows the
-    slots above them (`_packed_drawn`). A drawn column's largest |entry| is
-    read from its largest and smallest byte."""
+    """A block of the rows `rows`, packed by shifts (`_packed`), then in the
+    slots above them the drawn rows whose byte columns are `columns`
+    (`_packed_drawn`), which round the slot width up to whole bytes. Either
+    may be empty. A drawn column's largest |entry| is read from its largest
+    and smallest byte."""
     top = [max(max(column) - 9, 9 - min(column)) for column in columns]
     if rows:
-        top = list(map(max, top, (max(map(abs, column)) for column in zip(*rows))))
+        shifted = [max(map(abs, column)) for column in zip(*rows)]
+        top = list(map(max, top, shifted)) if columns else shifted
 
     def pack(bits: int) -> Sequence[int]:
+        if not columns:
+            return _packed(rows, bits)
         size = -(-bits // 8)
         drawn = _packed_drawn(columns, size)
         if not rows:
@@ -421,7 +397,7 @@ def _drawn_block(rows: list[tuple[int, ...]], columns: list[bytes], n: int, a: i
         shift = 8 * size * len(rows)
         return [low + (high << shift) for low, high in zip(_packed(rows, 8 * size), drawn)]
 
-    return top, pack, len(rows) + len(columns[0]), n, a
+    return top, pack, len(rows) + (len(columns[0]) if columns else 0), n, a
 
 
 def _slot_bits(sides: _Sides, top: Sequence[int], n: int, a: int) -> int:
@@ -454,48 +430,70 @@ def _packed_agrees(ctx: _SuiteCtx, blocks: Iterable[_Block], sides: _Sides) -> b
     return True
 
 
+def _run_linear(
+    ctx: _SuiteCtx,
+    builtin: list[tuple[str, Kernel, int]],
+    draw: tuple[int, int] | None,
+    boxes: list[tuple[int, int]],
+    sides: _Sides,
+    case: Callable[[int], dict],
+) -> None:
+    """Check a claim linear in the kernel row on one packed block per box
+    (`_packed_agrees`), and only if one disagrees kernel by kernel, each on
+    every box in turn: the built-in (label, kernel, a), read at their own a,
+    then custom[i], drawn over `draw` = (n_max, a_max) if given and read at
+    the box's a. A case is named by label, n, case(i) for its index i, and a."""
+    drawn = _draw(ctx.rng(), FUZZ_KERNEL_COUNT * _drawn_size(*draw)) if draw else b""
+    columns = (lambda n, a: _drawn_columns(drawn, n, a, *draw)) if draw else (lambda n, a: [])
+    blocks = (
+        _drawn_block([kern.row(n, own) for _, kern, own in builtin], columns(n, a), n, a)
+        for n, a in boxes
+    )
+    if _packed_agrees(ctx, blocks, sides):
+        return
+    fuzz = _drawn_kernels(drawn, FUZZ_KERNEL_COUNT, *draw) if draw else []
+    for label, kern, own in [*builtin, *((f"custom[{i}]", g, None) for i, g in enumerate(fuzz))]:
+        for n, box_a in boxes:
+            a = box_a if own is None else own
+            at = {"kernel": label, "n": n}
+            ctx.equal_all(*sides(kern.row(n, a), n, a), lambda i: {**at, **case(i), "a": a})
+
+
+def _run_eq7(ctx: _SuiteCtx) -> None:
+    p = ctx.params
+    _run_linear(
+        ctx,
+        builtin=_builtin_kernels(ctx),
+        draw=None,
+        boxes=[(n, 0) for n in range(p["n_max"] + 1)],
+        sides=lambda row, n, a: _eq7_sides(row, n, a, p["m_max"]),
+        case=lambda i: {"m": i + 1},
+    )
+
+
 def _run_eq8(ctx: _SuiteCtx) -> None:
     p = ctx.params
-    n_max, levels_up = p["n_max"], p["m_max"]
-    builtin = [(kern.label, kern, a) for kern, a in _builtin_kernels(ctx)]
-    drawn = _draw(ctx.rng(), FUZZ_KERNEL_COUNT * _drawn_size(n_max, 0))
-    blocks = (
-        _drawn_block(
-            [kern.row(n, a) for _, kern, a in builtin], _drawn_columns(drawn, n, 0, n_max, 0), n, 0
-        )
-        for n in range(n_max + 1)
+    _run_linear(
+        ctx,
+        builtin=_builtin_kernels(ctx),
+        draw=(p["n_max"], 0),
+        boxes=[(n, 0) for n in range(p["n_max"] + 1)],
+        sides=lambda row, n, a: _eq8_sides(row, p["m_max"]),
+        case=lambda i: {"j": i // p["m_max"], "t": i % p["m_max"]},
     )
-    if _packed_agrees(ctx, blocks, lambda row, n, a: _eq8_sides(row, levels_up)):
-        return
-    # kernel by kernel only where the packed sides disagree: the built-in
-    # kernels, then the random ones, each with its label and a
-    fuzz = _drawn_kernels(drawn, FUZZ_KERNEL_COUNT, n_max, 0)
-    kernels = builtin + [(f"custom[{i}]", kern, 0) for i, kern in enumerate(fuzz)]
-    for label, kern, a in kernels:
-        for n in range(n_max + 1):
-
-            def params_at(i: int) -> dict:
-                j, t = divmod(i, levels_up)
-                return {"kernel": label, "n": n, "j": j, "t": t, "a": a}
-
-            ctx.equal_all(*_eq8_sides(kern.row(n, a), levels_up), params_at)
 
 
 def _run_thm2(ctx: _SuiteCtx) -> None:
     p = ctx.params
     n_max, a_max = p["n_max"], p["a_max"]
-    drawn = _draw(ctx.rng(), FUZZ_KERNEL_COUNT * _drawn_size(n_max, a_max))
-    boxes = [(n, a) for n in range(n_max + 1) for a in range(a_max + 1)]
-    blocks = (
-        _drawn_block([], _drawn_columns(drawn, n, a, n_max, a_max), n, a) for n, a in boxes
+    _run_linear(
+        ctx,
+        builtin=[],
+        draw=(n_max, a_max),
+        boxes=[(n, a) for n in range(n_max + 1) for a in range(a_max + 1)],
+        sides=_thm2_sides,
+        case=lambda j: {"j": j},
     )
-    if not _packed_agrees(ctx, blocks, _thm2_sides):
-        for i, g in enumerate(_drawn_kernels(drawn, FUZZ_KERNEL_COUNT, n_max, a_max)):
-            for n, a in boxes:
-                ctx.equal_all(
-                    *_thm2_sides(g.row(n, a), n, a),
-                    lambda j: {"kernel": f"custom[{i}]", "n": n, "j": j, "a": a},
-                )
     # the named instance: the gessel(r) kernel is the binomial-pair dressing
     # of half-supercat(r) at a = r - 1, so the transplant must reproduce its
     # offset M-sums

@@ -420,6 +420,23 @@ def test_table_usage_errors(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        (("binomial", "--n-max", "2", "--m", "4"), "binomial does not take --m"),
+        (("binomial", "--n-max", "2", "--r-max", "2"), "binomial does not take --r-max"),
+        (("catalan", "--n-max", "2", "--r-max", "9"), "catalan does not take --r-max"),
+        (("gessel", "--n-max", "2", "--m", "3"), "gessel does not take --m"),
+        (("kr", "--r-max", "2", "--n-max", "5"), "kr does not take --n-max"),
+    ],
+    ids=["binomial-m", "binomial-r-max", "catalan-r-max", "gessel-m", "kr-n-max"],
+)
+def test_table_refuses_an_option_its_quantity_does_not_read(capsys, argv, named):
+    # named and refused rather than silently dropped, as compute does
+    code, out, err = run(capsys, "table", *argv)
+    assert (code, out, err) == (2, "", f"error: table {named}\n")
+
+
 # ------------------------------------------------------------------- top level
 
 

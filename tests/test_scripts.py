@@ -111,6 +111,24 @@ def test_paired_runs_summary_reads_each_metric_in_its_direction():
     # one pair is its own median and quartiles
     (single,) = script.summarize(pairs[:1], end_to_end[:1])
     assert "parent 1 [1, 1]  change 0.9 [0.9, 0.9]  -10.0%  wins 1/1  better beyond parent IQR: yes" in single
+    # a metric with a bound is also read against it, as a fraction of the
+    # parent's median: a wall time 30% worse is beyond its 25%, a peak RSS 5%
+    # worse is inside its 10%, and a rate 30% lower is beyond its 25%
+    bounded = [
+        {"name": "wall_s", "unit": "s", "better": "lower", "bound": 0.25},
+        {"name": "peak_rss_mb", "unit": "MB", "better": "lower", "bound": 0.1},
+        {"name": "cases_per_s", "unit": "1/s", "better": "higher", "bound": 0.25},
+    ]
+    slower = [
+        (
+            _result(wall_s=1.0, peak_rss_mb=20.0, cases_per_s=10),
+            _result(wall_s=1.3, peak_rss_mb=21.0, cases_per_s=7),
+        )
+    ]
+    wall, rss, rate = script.summarize(slower, bounded)
+    assert wall.endswith("+30.0%  wins 0/1  better beyond parent IQR: no  worse beyond bound: yes")
+    assert rss.endswith("+5.0%  wins 0/1  better beyond parent IQR: no  worse beyond bound: no")
+    assert rate.endswith("-30.0%  wins 0/1  better beyond parent IQR: no  worse beyond bound: yes")
 
 
 def test_paired_runs_refuses_a_directory_without_the_benchmark(capsys, tmp_path):

@@ -658,6 +658,26 @@ def test_a_green_sweep_checks_its_kernels_packed(monkeypatch):
 
 
 @pytest.mark.parametrize(
+    "suite, sweep, cases",
+    [
+        ("eq7", None, 988),
+        ("eq8", None, 10143),
+        ("thm2", None, 13312),
+        ("eq7", SweepRange(n_max=20), 1596),
+        ("thm2", SweepRange(n_max=14, a_max=5), 36112),
+    ],
+    ids=["eq7", "eq8", "thm2", "eq7-n20", "thm2-n14-a5"],
+)
+def test_the_kernel_by_kernel_fallback_gives_the_packed_report(monkeypatch, suite, sweep, cases):
+    # a packed check that always disagrees leaves a green box's report, and
+    # the cases it counts, as the packed check made them
+    packed = reports_to_json([run_suite(suite, sweep)])
+    assert json.loads(packed)["total_cases"] == cases
+    monkeypatch.setattr(verify, "_packed_agrees", lambda *args: False)
+    assert reports_to_json([run_suite(suite, sweep)]) == packed
+
+
+@pytest.mark.parametrize(
     "plan, key, suite, violations, digest",
     [
         ("_m_plan", (4, 1), "eq8", 118, "ae8174d9ce3a290e2e15d131324fee8c3d959752a6e794556d2fc6fdacd856fa"),
