@@ -21,33 +21,19 @@ The engine works on kernel rows: each sum reads the row F(n, 0..n, a) once.
 The vector forms return a whole offset range at once: `m_sum_vector` the
 M-sums at j = 0..n//2 of one row and level, `m_sum_lift_vector` the next
 level up from one level-t vector, and `theorem2_transform_vector` the
-transplant at j = 0..n from one level-0 vector of G. Scalar `m_sum` reads
-its offset's row of the M-sum plan inside the box below; scalar `m_sum_lift`
-and `theorem2_transform`, which no suite calls, return one entry of their
-vector form, so each recurrence has one evaluation path.
+transplant at j = 0..n from one level-0 vector of G. Scalar `m_sum` sums its
+one offset; scalar `m_sum_lift` and `theorem2_transform`, which no suite
+calls, return one entry of their vector form, so each recurrence has one
+evaluation path.
 
 Coefficients depend only on indices. `_pascal(n)`, a bounded cache, holds
-binomial(n, 0..n), walked like a kernel row by one exact step per entry;
-`_transplant_weights(n, j, a)`, the a+1 transplant coefficients of one
-offset, is built where it is read. Inside the box a default `verify all`
-sweeps (n <= 12, level t <= 3, transplant a <= 3), each recurrence instead
-reads a memoised "plan": its coefficient matrix, row j holding every
-input's coefficient in offset j already multiplied out, so an offset costs
-one dot product with the row or vector it reads:
-
-    _m_plan(n, t)[j][k]          binomial(n-j, j) binomial(n-2j, k-j)
-                                 binomial(n, k)^t
-    _lift_plan(n)[j][i]          binomial(n, j) binomial(n-j, i-j)
-    _transplant_plan(n, a)[j][i] _transplant_weights(n, j, a)[i-j]
-
-with zeros below the diagonal (k < j, i < j). A default `verify all` leaves
-about 0.07 MB of plans. Outside the box the recurrences weigh the row once
-per call and keep no plan. Scalar `m_sum` reads its offset's O(n) row from
-`_pascal`; the M-sum and lift vectors, which would read n//2 + 1 such rows
-per call and evict them from each other, walk them inside the call by the
-Pascal rule (`_m_sums_walked`, `_lifts_walked`).
-`direct_sum` keeps its own binomial(n, k)^m weights, apart from the plans,
-so eq7 compares two separately built sums.
+binomial(n, 0..n), walked like a kernel row by one exact step per entry.
+Scalar `m_sum` reads its offset's O(n) rows from it; the M-sum and lift
+vectors, which would read n//2 + 1 such rows per call and evict them from
+each other, walk them inside the call by the Pascal rule (`_m_sums_walked`,
+`_lifts_walked`). `_transplant_weights(n, j, a)`, the a+1 transplant
+coefficients of one offset, is built where it is read. `direct_sum` keeps
+its own binomial(n, k)^m weights, so eq7 compares two separately built sums.
 
 Sums are evaluated in ascending k with plain integer arithmetic; there are no
 floating-point or modular shortcuts anywhere.
@@ -70,9 +56,9 @@ from .kernels import (
 
 
 def _check_args(**named: int) -> None:
-    # The vector forms, about 13,000 calls in a default `verify all`, call
-    # this only once a cheap guard has found a negative argument: building
-    # the keyword dict on every call cost them about 5 ms a run.
+    # The vector forms, about 730 calls in a default `verify all`, call this
+    # only once a cheap guard has found a negative argument: building the
+    # keyword dict on every call costs about 0.4 us a call.
     for name, value in named.items():
         if value < 0:
             raise ValueError(f"{name} must be non-negative, got {value}")
@@ -93,26 +79,6 @@ def direct_sum(kernel: Kernel, n: int, m: int, a: int = 0) -> int:
     if m < 1:
         raise ValueError(f"m must be at least 1, got {m}")
     return sum(c**m * f for c, f in zip(_pascal(n), kernel.row(n, a)))
-
-
-# The plan box: the n and level t (for a transplant, the a) that a default
-# `verify all` reads, where closed-forms, eq7, eq8 and thm2 make about
-# 15,000 recurrence calls over 113 distinct plans. Each cache holds its
-# whole box, so a plan is built once per process and never evicted; a call
-# outside the box builds none.
-_PLAN_N_MAX = 12
-_PLAN_T_MAX = 3
-
-
-@lru_cache(maxsize=(_PLAN_N_MAX + 1) * (_PLAN_T_MAX + 1))
-def _m_plan(n: int, t: int) -> tuple[tuple[int, ...], ...]:
-    """The level-t M-sum coefficients of F(n, k, a) at offsets j = 0..n//2,
-    row j spanning k = 0..n-j."""
-    powers = [c**t for c in _pascal(n)]
-    return tuple([
-        (0,) * j + tuple([comb(n - j, j) * c * w for c, w in zip(_pascal(n - 2 * j), powers[j:])])
-        for j in range(n // 2 + 1)
-    ])
 
 
 def _weigh(row: Sequence[int], t: int) -> Sequence[int]:
@@ -153,10 +119,7 @@ def m_sum_vector(row: Sequence[int], t: int) -> tuple[int, ...]:
         _check_args(t=t)
     if not row:
         raise ValueError("a kernel row has at least one entry")
-    n = len(row) - 1
-    if n <= _PLAN_N_MAX and t <= _PLAN_T_MAX:
-        return tuple([sum(map(mul, coeffs, row)) for coeffs in _m_plan(n, t)])
-    return _m_sums_walked(_weigh(row, t), n)
+    return _m_sums_walked(_weigh(row, t), len(row) - 1)
 
 
 def m_sum(kernel: Kernel, n: int, j: int, t: int, a: int = 0) -> int:
@@ -164,10 +127,7 @@ def m_sum(kernel: Kernel, n: int, j: int, t: int, a: int = 0) -> int:
     _check_args(n=n, j=j, t=t, a=a)
     if 2 * j > n:
         return 0
-    row = kernel.row(n, a)
-    if n <= _PLAN_N_MAX and t <= _PLAN_T_MAX:
-        return sum(map(mul, _m_plan(n, t)[j], row))
-    return _m_sum_at(_weigh(row, t), n, j)
+    return _m_sum_at(_weigh(kernel.row(n, a), t), n, j)
 
 
 def _check_level(level: Sequence[int], n: int) -> None:
@@ -175,17 +135,6 @@ def _check_level(level: Sequence[int], n: int) -> None:
         raise ValueError(
             f"an M-sum vector at n={n} has {n // 2 + 1} offsets, got {len(level)}"
         )
-
-
-@lru_cache(maxsize=_PLAN_N_MAX + 1)
-def _lift_plan(n: int) -> tuple[tuple[int, ...], ...]:
-    """The lift coefficients of the level-t offsets i = 0..n//2 in the
-    level-(t+1) offsets j = 0..n//2."""
-    half = n // 2
-    return tuple([
-        (0,) * j + tuple([comb(n, j) * c for c in _pascal(n - j)[: half - j + 1]])
-        for j in range(half + 1)
-    ])
 
 
 def _lifts_walked(level: Sequence[int], n: int) -> tuple[int, ...]:
@@ -213,8 +162,6 @@ def m_sum_lift_vector(level: Sequence[int], n: int) -> tuple[int, ...]:
     if n < 0:
         _check_args(n=n)
     _check_level(level, n)
-    if n <= _PLAN_N_MAX:
-        return tuple([sum(map(mul, coeffs, level)) for coeffs in _lift_plan(n)])
     return _lifts_walked(level, n)
 
 
@@ -229,19 +176,11 @@ def m_sum_lift(kernel: Kernel, n: int, j: int, t: int, a: int = 0) -> int:
 def _transplant_weights(n: int, j: int, a: int) -> tuple[int, ...]:
     """The coefficients of G's level-0 offsets j+u, u = 0..min(a, n//2 - j),
     in the offset-j transplant (2j <= n): binomial(a+j, a) binomial(n-j+l, l)
-    binomial(n-j, a-l) at l = a-u; an entry holds at most a+1 integers.
-    Inside the plan box only a plan's build reads them; outside it each
-    call reads one offset's weights once."""
+    binomial(n-j, a-l) at l = a-u, at most a+1 integers, read once by the
+    offset's transplant."""
     lead = comb(a + j, a)
     top = min(a, n // 2 - j)
     return tuple([lead * comb(n - j + a - u, a - u) * comb(n - j, u) for u in range(top + 1)])
-
-
-@lru_cache(maxsize=(_PLAN_N_MAX + 1) * (_PLAN_T_MAX + 1))
-def _transplant_plan(n: int, a: int) -> tuple[tuple[int, ...], ...]:
-    """The transplant coefficients of G's level-0 offsets i = 0..n//2 in
-    the offsets j = 0..n//2 (the offsets past n//2 are 0)."""
-    return tuple([(0,) * j + _transplant_weights(n, j, a) for j in range(n // 2 + 1)])
 
 
 def _transplant_at(tail: Sequence[int], n: int, j: int, a: int) -> int:
@@ -258,10 +197,7 @@ def theorem2_transform_vector(level0: Sequence[int], n: int, a: int) -> tuple[in
         _check_args(n=n, a=a)
     _check_level(level0, n)
     half = n // 2
-    if n <= _PLAN_N_MAX and a <= _PLAN_T_MAX:
-        moved = [sum(map(mul, coeffs, level0)) for coeffs in _transplant_plan(n, a)]
-    else:
-        moved = [_transplant_at(level0[j : j + a + 1], n, j, a) for j in range(half + 1)]
+    moved = [_transplant_at(level0[j : j + a + 1], n, j, a) for j in range(half + 1)]
     return tuple(moved + [0] * (n - half))
 
 
@@ -275,9 +211,8 @@ def theorem2_transform(g_kernel: Kernel, n: int, j: int, a: int) -> int:
             binomial(n-j+l, l) binomial(n-j, a-l) M_G(n, j+a-l, 0; a)
 
     which is entry j of `theorem2_transform_vector` over G's level-0
-    M-sums, O(n^2) work outside the plan box. Offsets past n/2 yield 0
-    without reading G: every M-sum of G the sum needs sits at an offset >= j,
-    where it vanishes.
+    M-sums, O(n^2) work. Offsets past n/2 yield 0 without reading G: every
+    M-sum of G the sum needs sits at an offset >= j, where it vanishes.
     """
     _check_args(n=n, j=j, a=a)
     if 2 * j > n:

@@ -666,6 +666,14 @@ def _run_paths(ctx: _SuiteCtx) -> None:
 # ------------------------------------------------------------------- registry
 
 
+def _linear_grow(params: dict[str, int], defaults: dict[str, int]) -> float:
+    """(p + 1) / (default p + 1) for p = n_max and m_max, as a case's cost
+    grows about linearly in n and in the weight m (longer powers)."""
+    return math.prod(
+        (params[p] + 1) / (defaults[p] + 1) for p in ("n_max", "m_max") if p in params
+    )
+
+
 class SuiteSpec(NamedTuple):
     name: str
     claim: str
@@ -674,6 +682,8 @@ class SuiteSpec(NamedTuple):
     cases: Callable[[dict[str, int]], int | float]  # the runner's cases_checked
     us_per_case: float  # µs, fitted at the default box (README, "Budget guard")
     minimums: dict[str, int] = {}  # over _MIN_DEFAULTS; only ever read
+    # a case's cost at params over its cost at defaults, read by _estimate
+    grow: Callable[[dict[str, int], dict[str, int]], float] = _linear_grow
 
 
 def _kr_cases(p: dict[str, int]) -> int | float:
@@ -688,6 +698,26 @@ def _paths_cases(p: dict[str, int]) -> int:
     most = (_ENUM_CROSSCHECK_STEPS + 1) // 2
     small = sum(min(p["r_max"], most - n) for n in range(1, min(p["n_max"], most - 1) + 1))
     return 2 * (p["n_max"] * p["r_max"] + small)
+
+
+def _paths_cells(p: dict[str, int]) -> int:
+    """The board cells count_paths fills: (k + 1) k at k = n + r for each of
+    the two specs at every (n, r), summed in closed form, since q(m) - q(m - 1)
+    = m (m + 1) (m + 2) / 3 and that in turn sums (k + 1) k over k <= m."""
+
+    def q(m: int) -> int:
+        return m * (m + 1) * (m + 2) * (m + 3) // 12
+
+    n, r = p["n_max"], p["r_max"]
+    return 2 * (q(n + r) - q(n) - q(r))
+
+
+def _paths_grow(params: dict[str, int], defaults: dict[str, int]) -> float:
+    """Cells per case at params over cells per case at defaults: a case's
+    board grows with its area, in both n and r."""
+    return (_paths_cells(params) / _paths_cases(params)) / (
+        _paths_cells(defaults) / _paths_cases(defaults)
+    )
 
 
 _MIN_DEFAULTS = {"n_max": 0, "m_max": 1, "r_max": 1, "a_max": 0}
@@ -770,7 +800,7 @@ _REGISTRY: dict[str, SuiteSpec] = {
             # each a, one central and three ordered at each r; phi-00 at each r
             lambda p: (5 + 2 * p["a_max"] + 3 * p["r_max"]) * (math.comb(p["n_max"] + 3, 2) - 1)
             + p["r_max"] * (p["n_max"] + 1),
-            10.3,
+            11.7,
         ),
         SuiteSpec(
             "eq7",
@@ -791,7 +821,7 @@ _REGISTRY: dict[str, SuiteSpec] = {
             # kernel (plain, central, rising at each a, three ordered at each r)
             lambda p: (3 + p["a_max"] + 3 * p["r_max"] + FUZZ_KERNEL_COUNT)
             * p["m_max"] * ((p["n_max"] + 2) ** 2 // 4),
-            0.74,
+            0.87,
         ),
         SuiteSpec(
             "thm2",
@@ -802,7 +832,7 @@ _REGISTRY: dict[str, SuiteSpec] = {
             # j <= n at each (n, a) per fuzz kernel, j <= h at n = 2h <= 12 per r
             lambda p: FUZZ_KERNEL_COUNT * (p["a_max"] + 1) * math.comb(p["n_max"] + 2, 2)
             + p["r_max"] * math.comb(min(6, p["n_max"]) + 2, 2),
-            0.52,
+            0.61,
         ),
         SuiteSpec(
             "eq2-eq4",
@@ -859,6 +889,7 @@ _REGISTRY: dict[str, SuiteSpec] = {
             _paths_cases,
             49.0,
             minimums={"n_max": 1, "r_max": 1},
+            grow=_paths_grow,
         ),
     )
 }
@@ -884,14 +915,10 @@ def _resolve_params(spec: SuiteSpec, sweep: SweepRange) -> tuple[dict[str, int],
 
 def _estimate(spec: SuiteSpec, params: dict[str, int]) -> tuple[int | float, float]:
     """The cases `spec` declares at `params` and their estimated ms: each at
-    the suite's cost, fitted at its default box, grown by (p + 1) / (default
-    p + 1) for p = n_max and m_max, as a case's cost grows about linearly in
-    n and in the weight m (longer powers)."""
+    the suite's cost, fitted at its default box, times `spec.grow`."""
     cases = spec.cases(params)
     try:
-        grow = math.prod(
-            (params[p] + 1) / (spec.defaults[p] + 1) for p in ("n_max", "m_max") if p in params
-        )
+        grow = spec.grow(params, spec.defaults)
         return cases, cases * spec.us_per_case * grow / 1000.0
     except OverflowError:  # past the float range, so no finite budget admits it
         return math.inf, math.inf

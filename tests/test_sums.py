@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 import random
-import sys
 
 import pytest
 from hypothesis import example, given, settings
@@ -45,7 +44,6 @@ from convolvium.kernels import (
     with_bump,
 )
 from convolvium.paths import count_paths, gessel_path_spec
-from convolvium.verify import run_suite
 from convolvium.sums import (
     direct_sum,
     gessel_convolution,
@@ -778,96 +776,17 @@ def test_tables_match_comb_references(row, a, t):
     assert moved == _comb_level(dressed, 0) + (0,) * (n - n // 2)
 
 
-def _plan(cache, *args):
-    """The plan at args, built without entering the cache."""
-    return cache.__wrapped__(*args)
-
-
-def _comb0(n, k):
-    """math.comb, 0 below k = 0: a plan's zeros below its diagonal."""
-    return math.comb(n, k) if k >= 0 else 0
-
-
-def test_plan_coefficients_match_comb():
-    # every coefficient of the three plans against its math.comb formula,
-    # in the plan box and well past it
-    for n in range(41):
-        half = n // 2
-        for t in range(5):
-            assert _plan(sums._m_plan, n, t) == tuple(
-                tuple(
-                    math.comb(n - j, j) * _comb0(n - 2 * j, k - j) * math.comb(n, k) ** t
-                    for k in range(n - j + 1)
-                )
-                for j in range(half + 1)
-            )
-        assert _plan(sums._lift_plan, n) == tuple(
-            tuple(math.comb(n, j) * _comb0(n - j, i - j) for i in range(half + 1))
-            for j in range(half + 1)
-        )
-        for a in range(7):
-            # offset i = j + u holds binomial(a+j, a) binomial(n-j+l, l)
-            # binomial(n-j, a-l) at l = a - u
-            assert _plan(sums._transplant_plan, n, a) == tuple(
-                tuple(
-                    math.comb(a + j, a) * math.comb(n - i + a, a - i + j) * _comb0(n - j, i - j)
-                    for i in range(min(j + a, half) + 1)
-                )
-                for j in range(half + 1)
-            )
-
-
-@pytest.mark.parametrize("n", range(sums._PLAN_N_MAX + 2))
-def test_plans_match_the_per_offset_code(n):
-    # inside the box the vector and scalar forms read plans; the per-offset
-    # code used outside it is the reference, and for the lift, which has no
-    # per-offset code, the math.comb level one up. n = _PLAN_N_MAX + 1,
-    # t = 4 and a = 4 lie just past the box, where both sides are that code.
-    rng = random.Random(n)
-    rows = (gessel_kernel(3).row(n, 2), tuple(rng.randint(-(10**9), 10**9) for _ in range(n + 1)))
-    half = n // 2
-    for row in rows:
-        kern = custom_kernel({(n, k, 0): v for k, v in enumerate(row)})
-        for t in range(sums._PLAN_T_MAX + 2):
-            weighted = sums._weigh(row, t)
-            level = m_sum_vector(row, t)
-            assert level == tuple(sums._m_sum_at(weighted, n, j) for j in range(half + 1))
-            assert [m_sum(kern, n, j, t) for j in range(half + 1)] == list(level)
-            lifted = _comb_level(row, t + 1)
-            assert m_sum_lift_vector(level, n) == lifted
-            assert [m_sum_lift(kern, n, j, t) for j in range(half + 1)] == list(lifted)
-        level0 = m_sum_vector(row, 0)
-        for a in range(sums._PLAN_T_MAX + 2):
-            moved = [sums._transplant_at(level0[j : j + a + 1], n, j, a) for j in range(half + 1)]
-            assert theorem2_transform_vector(level0, n, a) == tuple(moved + [0] * (n - half))
-
-
-def test_calls_outside_the_plan_box_keep_no_plan():
-    plans = (sums._m_plan, sums._lift_plan, sums._transplant_plan)
-    big = central_kernel().row(300, 0)
-    edge = central_kernel().row(sums._PLAN_N_MAX, 0)
-    edge_level0 = m_sum_vector(edge, 0)  # inside the box: may build a plan
-    before = [cache.cache_info() for cache in plans]
-    # n past the box
-    m_sum_lift_vector(m_sum_vector(big, 1), 300)
-    theorem2_transform_vector(m_sum_vector(big, 0), 300, 3)
-    # t and a past the box at its largest n
-    m_sum_vector(edge, sums._PLAN_T_MAX + 1)
-    theorem2_transform_vector(edge_level0, sums._PLAN_N_MAX, sums._PLAN_T_MAX + 1)
-    assert [cache.cache_info() for cache in plans] == before
-
-
-@pytest.mark.parametrize("n", [13, 14, 65, 100, 200])
+@pytest.mark.parametrize("n", [*range(15), 65, 100, 200])
 def test_walked_pascal_rows_match_the_per_offset_code(n):
-    # outside the plan box the vector forms walk their Pascal rows inside the
-    # call; the per-offset code of scalar `m_sum`, which reads each row from
-    # `_pascal`, is the reference for the M-sum walk, and math.comb for the
-    # lift walk and for the transplant, whose per-offset code is under test
+    # the vector forms walk their Pascal rows inside the call; the per-offset
+    # code of scalar `m_sum`, which reads each row from `_pascal`, is the
+    # reference for the M-sum walk, and math.comb for the lift walk and for
+    # the transplant, whose per-offset code is under test
     rng = random.Random(n)
     rows = (gessel_kernel(3).row(n, 2), tuple(rng.randint(-(10**9), 10**9) for _ in range(n + 1)))
     half = n // 2
     for row in rows:
-        for t in (0, 1, sums._PLAN_T_MAX + 1):
+        for t in (0, 1, 4):
             weighted = sums._weigh(row, t)
             level = tuple(sums._m_sum_at(weighted, n, j) for j in range(half + 1))
             assert sums._m_sums_walked(weighted, n) == level == m_sum_vector(row, t)
@@ -897,52 +816,6 @@ def test_a_repeated_wide_call_rebuilds_no_pascal_row(n):
         assert sums._pascal.cache_info().misses - misses <= 1
 
 
-def test_plan_caches_stay_small_after_the_default_sweep():
-    # the suites that read plans, at their default boxes, from empty caches;
-    # the plans left behind are sized object by object, each shared small
-    # integer once (about 65 KB)
-    plans = (sums._m_plan, sums._lift_plan, sums._transplant_plan)
-    for cache in plans:
-        cache.cache_clear()
-    for suite in ("closed-forms", "eq7", "eq8", "thm2"):
-        assert run_suite(suite).passed
-    held = {}
-
-    def hold(obj):
-        held[id(obj)] = sys.getsizeof(obj)
-
-    ns, ts = range(sums._PLAN_N_MAX + 1), range(sums._PLAN_T_MAX + 1)
-    pairs = [(n, t) for n in ns for t in ts]
-    for cache, box in zip(plans, (pairs, [(n,) for n in ns], pairs)):
-        assert cache.cache_info().currsize > 0
-        for args in box:
-            misses = cache.cache_info().misses
-            plan = cache(*args)
-            if cache.cache_info().misses > misses:
-                continue  # not left by the sweep
-            hold(plan)
-            for coeffs in plan:
-                hold(coeffs)
-                for c in coeffs:
-                    hold(c)
-    assert sum(held.values()) <= 100_000
-
-
-def test_the_default_sweep_stays_on_the_plans(monkeypatch):
-    # every recurrence call a default `verify all` makes lies inside the plan
-    # box; a suite default or a plan bound that moved it outside would land
-    # in the per-offset or walked code, which is slower but gives the same
-    # numbers, so only these stubs notice
-    def off_the_plans(*args):
-        raise AssertionError("the default sweep left the plan box")
-
-    walked = ("_m_sums_walked", "_lifts_walked")
-    for name in ("_weigh", "_m_sum_at", "_transplant_at", *walked):
-        monkeypatch.setattr(sums, name, off_the_plans)
-    for suite in ("eq7", "eq8", "thm2", "closed-forms"):
-        assert run_suite(suite).passed
-
-
 def test_binomial_pair_row_validation():
     with pytest.raises(ValueError):
         binomial_pair_row((), 0)
@@ -951,9 +824,8 @@ def test_binomial_pair_row_validation():
 
 
 def test_coefficient_caches_are_bounded(capsys):
-    plans = (sums._m_plan, sums._lift_plan, sums._transplant_plan)
     rows = kernels._builtin_row
-    for cache in (*plans, rows, sums._pascal, catalan, super_catalan, gessel):
+    for cache in (rows, sums._pascal, catalan, super_catalan, gessel):
         assert cache.cache_info().maxsize is not None
     # a table sweep over more (n, r) pairs than the cache holds stays bounded
     assert cli_main(["table", "gessel", "--n-max", "1500", "--r-max", "3"]) == 0
@@ -965,13 +837,8 @@ def test_coefficient_caches_are_bounded(capsys):
     assert capsys.readouterr().out.count("\n") == 1 + 41 * 3
     assert rows.cache_info().misses - misses >= 41 * 3 > rows.cache_info().maxsize
     assert rows.cache_info().currsize <= rows.cache_info().maxsize
-    # a scalar M-sum at a large n adds no plan, and only the two O(n) Pascal
-    # rows it reads (n for the weights, n - 2j for the inner sum); never an
-    # O(n^2) table
-    watched = (*plans, sums._pascal)
-    before = [cache.cache_info().misses for cache in watched]
+    # a scalar M-sum at a large n adds only the two O(n) Pascal rows it reads
+    # (n for the weights, n - 2j for the inner sum); never an O(n^2) table
+    misses = sums._pascal.cache_info().misses
     m_sum(central_kernel(), 1500, 3, 1)
-    after = [cache.cache_info().misses for cache in watched]
-    added = [b - a for a, b in zip(before, after)]
-    assert added[:3] == [0, 0, 0]
-    assert added[3] <= 2
+    assert sums._pascal.cache_info().misses - misses <= 2

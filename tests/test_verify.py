@@ -21,7 +21,7 @@ from pathlib import Path
 import pytest
 
 import convolvium
-from convolvium import sums, verify
+from convolvium import verify
 from convolvium.kernels import (
     Kernel,
     KernelFamily,
@@ -34,7 +34,6 @@ from convolvium.kernels import (
     with_bump,
 )
 from convolvium.paths import gessel_path_spec
-from convolvium.sums import direct_sum
 from convolvium.verify import (
     FUZZ_KERNEL_COUNT,
     RangeTooLarge,
@@ -179,6 +178,31 @@ def test_the_estimate_keeps_up_with_the_weight():
         est_ms = verify._estimate(spec, verify._resolve_params(spec, sweep)[0])[1]
         actual_ms = run_suite("calkin", sweep).elapsed_ms
         assert est_ms / actual_ms >= 0.5, (m_max, est_ms, actual_ms)
+
+
+def test_the_paths_estimate_grows_with_the_board(monkeypatch):
+    monkeypatch.delenv("CONVOLVIUM_BUDGET_MS", raising=False)
+    _unrunnable(monkeypatch)
+    # a paths case fills an (n+r+1) x (n+r) board: days of work at either
+    # parameter's 3000, refused before any runs
+    for sweep in (SweepRange(r_max=3000), SweepRange(n_max=3000)):
+        with pytest.raises(RangeTooLarge, match="budget"):
+            run_suite("paths", sweep)
+
+
+def test_the_paths_estimate_keeps_up_with_the_board():
+    # the board grows with n and with r alike: the estimate must stay at
+    # least half the run time along either
+    spec = verify._REGISTRY["paths"]
+    for sweep in (
+        SweepRange(r_max=60),
+        SweepRange(r_max=120),
+        SweepRange(n_max=60),
+        SweepRange(n_max=120),
+    ):
+        est_ms = verify._estimate(spec, verify._resolve_params(spec, sweep)[0])[1]
+        actual_ms = run_suite("paths", sweep).elapsed_ms
+        assert est_ms / actual_ms >= 0.5, (sweep, est_ms, actual_ms)
 
 
 def test_report_fields_and_range():
@@ -498,45 +522,46 @@ def test_eq7_sees_either_side_corrupted(monkeypatch, side):
     assert not run_suite("eq7", _SIDES).passed
 
 
-# The recurrences read their coefficients from cached plans. A wrong plan
-# coefficient must surface in the suites that read it, and direct_sum, the
-# other side of eq7, keeps its own weights.
+# One wrong coefficient in a recurrence's plan, its matrix of coefficients:
+# at one key, the function the runner calls adds its input's entry 1 to its
+# output's entry 0, as if the coefficient of input 1 in offset 0 were one too
+# large. It must surface in the suites that read it. Each entry gives what is
+# added at its key.
+_FAULTS = {
+    "m_sum_vector": lambda row, t: row[1] if (len(row), t) == (5, 1) else 0,
+    "m_sum_lift_vector": lambda level, n: level[1] if n == 4 else 0,
+    "theorem2_transform_vector": lambda level0, n, a: level0[1] if (n, a) == (4, 1) else 0,
+    # scalar m_sum's input is the row its kernel holds at (n, a)
+    "m_sum": lambda kern, n, j, t, a: kern.row(n, a)[1] if (n, t, j) == (4, 1, 0) else 0,
+}
 
 
-def _corrupt_plan(plan_fn, key, j, i):
-    """plan_fn with coefficient i of offset j raised by one at `key`."""
+def _inject(monkeypatch, *names):
+    """Wrap each named function in verify's namespace with its fault."""
+    for name in names:
 
-    def corrupted(*args):
-        plan = plan_fn(*args)
-        if args != key:
-            return plan
-        rows = [list(coeffs) for coeffs in plan]
-        rows[j][i] += 1
-        return tuple(map(tuple, rows))
+        def wrong(*args, real=getattr(verify, name), extra=_FAULTS[name]):
+            out, delta = real(*args), extra(*args)
+            return out + delta if isinstance(out, int) else (out[0] + delta, *out[1:])
 
-    return corrupted
+        monkeypatch.setattr(verify, name, wrong)
 
 
 def test_a_wrong_m_sum_plan_coefficient_fails_eq7_and_eq8(monkeypatch):
-    kerns = [gessel_kernel(2), rising_kernel(), central_kernel(), plain_kernel()]
-    direct = [direct_sum(k, n, m, 1) for k in kerns for n in range(5) for m in (1, 2, 3)]
     assert run_suite("eq7", _SIDES).passed and run_suite("eq8", _SIDES).passed
     # level 1 at n = 4: eq7's offset-0 side at m = 2, and eq8's direct side
-    monkeypatch.setattr(sums, "_m_plan", _corrupt_plan(sums._m_plan, (4, 1), 0, 2))
+    _inject(monkeypatch, "m_sum_vector", "m_sum")
     assert not run_suite("eq7", _SIDES).passed
     assert not run_suite("eq8", _SIDES).passed
-    assert [direct_sum(k, n, m, 1) for k in kerns for n in range(5) for m in (1, 2, 3)] == direct
 
 
 def test_a_wrong_lift_plan_coefficient_fails_eq8(monkeypatch):
-    monkeypatch.setattr(sums, "_lift_plan", _corrupt_plan(sums._lift_plan, (4,), 0, 1))
+    _inject(monkeypatch, "m_sum_lift_vector")
     assert not run_suite("eq8", _SIDES).passed
 
 
 def test_a_wrong_transplant_plan_coefficient_fails_thm2(monkeypatch):
-    monkeypatch.setattr(
-        sums, "_transplant_plan", _corrupt_plan(sums._transplant_plan, (4, 1), 0, 1)
-    )
+    _inject(monkeypatch, "theorem2_transform_vector")
     assert not run_suite("thm2", _SIDES).passed
 
 
@@ -678,18 +703,19 @@ def test_the_kernel_by_kernel_fallback_gives_the_packed_report(monkeypatch, suit
 
 
 @pytest.mark.parametrize(
-    "plan, key, suite, violations, digest",
+    "wrapped, suite, violations, digest",
     [
-        ("_m_plan", (4, 1), "eq8", 118, "ae8174d9ce3a290e2e15d131324fee8c3d959752a6e794556d2fc6fdacd856fa"),
-        ("_lift_plan", (4,), "eq8", 117, "c351ff4cdb99f4e4b2885a961dfe9435109ef7f2e209fd21c6eaaef342378ab3"),
-        ("_transplant_plan", (4, 1), "thm2", 49, "9ff942e2ec8b35ece2033a6314a1685f9480e578b7082097d348b7213d1e9f88"),
-        ("_m_plan", (4, 1), "eq7", 11, "1be87540a859bfc6445d181b0f3c58a0b6df263566df625b1be6856cfb976a13"),
+        (("m_sum_vector", "m_sum"), "eq8", 118, "ae8174d9ce3a290e2e15d131324fee8c3d959752a6e794556d2fc6fdacd856fa"),
+        (("m_sum_lift_vector",), "eq8", 117, "c351ff4cdb99f4e4b2885a961dfe9435109ef7f2e209fd21c6eaaef342378ab3"),
+        (("theorem2_transform_vector",), "thm2", 49, "9ff942e2ec8b35ece2033a6314a1685f9480e578b7082097d348b7213d1e9f88"),
+        (("m_sum_vector", "m_sum"), "eq7", 11, "1be87540a859bfc6445d181b0f3c58a0b6df263566df625b1be6856cfb976a13"),
     ],
+    ids=["m_sum-eq8", "lift-eq8", "transplant-thm2", "m_sum-eq7"],
 )
-def test_a_packed_mismatch_reports_kernel_by_kernel(monkeypatch, plan, key, suite, violations, digest):
+def test_a_packed_mismatch_reports_kernel_by_kernel(monkeypatch, wrapped, suite, violations, digest):
     # the digests are the reports of the kernel-by-kernel sweep that packing
     # replaced, so a failing run lists the same violations in the same order
-    monkeypatch.setattr(sums, plan, _corrupt_plan(getattr(sums, plan), key, 0, 1))
+    _inject(monkeypatch, *wrapped)
     report = run_suite(suite, SweepRange(n_max=6, m_max=2, r_max=2, a_max=2))
     assert len(report.violations) == violations
     assert _sha256(report) == digest
