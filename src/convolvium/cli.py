@@ -8,6 +8,12 @@ suite reports violations (or compute hits a failed exact division), 2 for
 usage errors, unknown names, over-budget ranges, and an --out file that
 cannot be written.
 
+Each compute quantity is declared once, in `_COMPUTE`: the function it
+calls and the options it reads, each with its default or marked required.
+`_reads` narrows msum's options by kernel and closed-form's by family; the
+parser's choices, the refusal of an unread option, the required-option
+check and the call all read that table.
+
 All numeric output is exact decimal; there is no floating point anywhere.
 """
 
@@ -17,7 +23,7 @@ import argparse
 import io
 import sys
 from pathlib import Path
-from typing import Iterable
+from typing import Callable, Iterable
 
 from .closed_forms import FAMILY_PARAMS, ClosedFormFamily, closed_form
 from .exact import (
@@ -41,23 +47,34 @@ from .verify import (
     suite_names,
 )
 
-# the three convolutions, each called as fn(n, m, r) with the half index n
-_CONVOLUTIONS = {
-    "phi": gessel_convolution,
-    "psi": supercat_convolution,
-    "quarter-psi": quarter_psi,
-}
 
-# the options each compute quantity reads: msum also reads --r for an
-# ordered kernel, closed-form its family's FAMILY_PARAMS
-_COMPUTE_OPTIONS: dict[str, tuple[str, ...]] = {
-    "binomial": ("n", "k"),
-    "catalan": ("n",),
-    "supercatalan": ("n", "r"),
-    "gessel": ("n", "r"),
-    **dict.fromkeys(_CONVOLUTIONS, ("n", "m", "r")),
-    "msum": ("kernel", "n", "j", "t", "a"),
-    "closed-form": ("family",),
+class _UsageError(ValueError):
+    """Bad flag combination detected after parsing."""
+
+
+def _msum(kernel: str, n: int, j: int, t: int, r: int | None = None, a: int = 0) -> int:
+    """m_sum of the named kernel, with order r when the kernel is ordered."""
+    if r is not None and r < 1:
+        raise _UsageError(f"r must be at least 1, got {r}")
+    return m_sum(Kernel(KernelFamily(kernel), order=r), n, j, t, a)
+
+
+_REQUIRED = None
+
+# each compute quantity: the function it calls and the options it reads, each
+# with its default or _REQUIRED; _reads narrows msum's by kernel and
+# closed-form's by family
+_COMPUTE: dict[str, tuple[Callable[..., int], dict[str, int | None]]] = {
+    "binomial": (binomial, {"n": _REQUIRED, "k": _REQUIRED}),
+    "catalan": (catalan, {"n": _REQUIRED}),
+    "supercatalan": (super_catalan, {"n": _REQUIRED, "r": _REQUIRED}),
+    "gessel": (gessel, {"n": _REQUIRED, "r": _REQUIRED}),
+    # the convolutions take the half index n
+    "phi": (gessel_convolution, {"n": _REQUIRED, "m": 1, "r": 1}),
+    "psi": (supercat_convolution, {"n": _REQUIRED, "m": 1, "r": 1}),
+    "quarter-psi": (quarter_psi, {"n": _REQUIRED, "m": 1, "r": 1}),
+    "msum": (_msum, {"kernel": _REQUIRED, "n": _REQUIRED, "j": 0, "t": 0, "r": 1, "a": 0}),
+    "closed-form": (closed_form, {"family": _REQUIRED, "n": _REQUIRED, "j": 0, "r": 1, "a": 0}),
 }
 
 # the options each table quantity reads
@@ -66,16 +83,12 @@ _TABLE_OPTIONS: dict[str, tuple[str, ...]] = {
     "catalan": ("n_max",),
     "supercatalan": ("n_max", "r_max"),
     "gessel": ("n_max", "r_max"),
-    **dict.fromkeys(_CONVOLUTIONS, ("n_max", "r_max", "m")),
+    **dict.fromkeys(("phi", "psi", "quarter-psi"), ("n_max", "r_max", "m")),
     "kr": ("r_max",),
 }
 
 # kernel families constructible from the command line (custom needs a table)
 _CLI_KERNELS = tuple(f.value for f in KernelFamily if f is not KernelFamily.CUSTOM)
-
-
-class _UsageError(ValueError):
-    """Bad flag combination detected after parsing."""
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -92,10 +105,11 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Evaluate one quantity exactly and print it in decimal. "
         "phi, psi, and quarter-psi take the half index n (the sum runs to "
         "2n) with defaults m=1, r=1; msum takes the full index n with "
-        "defaults j=0, t=0, a=0 and uses --r as an ordered kernel's order. "
-        "An option the quantity does not read is a usage error.",
+        "defaults j=0, t=0, reads --r (default 1) only as an ordered kernel's "
+        "order and --a (default 0) only for the rising kernel. An option the "
+        "quantity does not read is a usage error.",
     )
-    comp.add_argument("quantity", choices=tuple(_COMPUTE_OPTIONS))
+    comp.add_argument("quantity", choices=tuple(_COMPUTE))
     comp.add_argument("--n", type=int, help="main index")
     comp.add_argument("--k", type=int, help="binomial lower index")
     comp.add_argument("--m", type=int, help="binomial weight exponent (default 1)")
@@ -161,34 +175,25 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _need(args: argparse.Namespace, flag: str, quantity: str) -> int:
-    value = getattr(args, flag)
-    if value is None:
-        raise _UsageError(f"compute {quantity} requires --{flag}")
-    return value
-
-
 def _opt(value: int | None, default: int) -> int:
     return default if value is None else value
 
 
-def _check_options(args: argparse.Namespace) -> None:
-    """Refuse an option the quantity does not read, so no value is printed
-    for parameters other than the ones given."""
-    q = args.quantity
-    what, takes = q, _COMPUTE_OPTIONS[q]
-    if q == "msum":
-        if args.kernel is None:
-            raise _UsageError("compute msum requires --kernel")
+def _reads(args: argparse.Namespace) -> tuple[str, dict[str, int | None]]:
+    """The compute quantity as its messages name it, and the options it reads
+    with their defaults: msum reads --r only for an ordered kernel and --a
+    only for rising, closed-form the options of its family's FAMILY_PARAMS."""
+    what, options = args.quantity, _COMPUTE[args.quantity][1]
+    if what == "msum" and args.kernel is not None:
+        family = KernelFamily(args.kernel)
         what = f"msum --kernel {args.kernel}"
-        if KernelFamily(args.kernel) in PARAMETERIZED_FAMILIES:
-            takes += ("r",)
-    elif q == "closed-form":
-        if args.family is None:
-            raise _UsageError("compute closed-form requires --family")
+        reads = {"r": family in PARAMETERIZED_FAMILIES, "a": family is KernelFamily.RISING}
+        options = {k: v for k, v in options.items() if reads.get(k, True)}
+    elif what == "closed-form" and args.family is not None:
         what = f"closed-form --family {args.family}"
-        takes += FAMILY_PARAMS[ClosedFormFamily(args.family)]
-    _refuse_unread(args, what, takes)
+        takes = ("family", *FAMILY_PARAMS[ClosedFormFamily(args.family)])
+        options = {k: v for k, v in options.items() if k in takes}
+    return what, options
 
 
 def _refuse_unread(args: argparse.Namespace, what: str, takes: tuple[str, ...]) -> None:
@@ -203,37 +208,15 @@ def _refuse_unread(args: argparse.Namespace, what: str, takes: tuple[str, ...]) 
 
 
 def _cmd_compute(args: argparse.Namespace) -> int:
-    _check_options(args)
-    q = args.quantity
-    if q == "binomial":
-        value = binomial(_need(args, "n", q), _need(args, "k", q))
-    elif q == "catalan":
-        value = catalan(_need(args, "n", q))
-    elif q == "supercatalan":
-        value = super_catalan(_need(args, "n", q), _need(args, "r", q))
-    elif q == "gessel":
-        value = gessel(_need(args, "n", q), _need(args, "r", q))
-    elif q in _CONVOLUTIONS:
-        n = _need(args, "n", q)
-        m = _opt(args.m, 1)
-        r = _opt(args.r, 1)
-        value = _CONVOLUTIONS[q](n, m, r)
-    elif q == "msum":
-        family = KernelFamily(args.kernel)
-        order = _opt(args.r, 1) if family in PARAMETERIZED_FAMILIES else None
-        if order is not None and order < 1:
-            raise _UsageError(f"r must be at least 1, got {order}")
-        kern = Kernel(family, order=order)
-        value = m_sum(kern, _need(args, "n", q), _opt(args.j, 0), _opt(args.t, 0), _opt(args.a, 0))
-    else:  # closed-form
-        value = closed_form(
-            ClosedFormFamily(args.family),
-            n=_need(args, "n", q),
-            j=_opt(args.j, 0),
-            r=_opt(args.r, 1),
-            a=_opt(args.a, 0),
-        )
-    sys.stdout.write(decimal(value) + "\n")
+    what, options = _reads(args)
+    _refuse_unread(args, what, tuple(options))
+    values = {}
+    for name, default in options.items():
+        value = getattr(args, name)
+        if value is None and default is _REQUIRED:
+            raise _UsageError(f"compute {args.quantity} requires --{name}")
+        values[name] = default if value is None else value
+    sys.stdout.write(decimal(_COMPUTE[args.quantity][0](**values)) + "\n")
     return 0
 
 
@@ -321,7 +304,7 @@ def _table_rows(args: argparse.Namespace) -> tuple[tuple[str, ...], Iterable[tup
         return ("n", "r", "value"), (
             (n, r, gessel(n, r)) for n in range(n_max + 1) for r in range(1, r_max + 1)
         )
-    fn, m = _CONVOLUTIONS[q], _opt(args.m, 1)
+    fn, m = _COMPUTE[q][0], _opt(args.m, 1)
     return ("n", "r", "value"), (
         (n, r, fn(n, m, r)) for n in range(n_max + 1) for r in range(1, r_max + 1)
     )
@@ -367,7 +350,3 @@ def main(argv: list[str] | None = None) -> int:
     except ArithmeticError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-
-
-if __name__ == "__main__":
-    sys.exit(main())

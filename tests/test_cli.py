@@ -98,6 +98,56 @@ def test_compute_refusals_name_the_value_given(capsys):
         assert (code, out, err) == (2, "", f"error: compute {named}\n")
 
 
+# what each compute quantity reads: its required options, then its optional
+# ones; msum is named with its kernel, closed-form with its family
+_COMPUTE_READS = {
+    "binomial": (("n", "k"), ()),
+    "catalan": (("n",), ()),
+    "supercatalan": (("n", "r"), ()),
+    "gessel": (("n", "r"), ()),
+    **dict.fromkeys(("phi", "psi", "quarter-psi"), (("n",), ("m", "r"))),
+    "msum --kernel plain": (("kernel", "n"), ("j", "t")),
+    "msum --kernel rising": (("kernel", "n"), ("j", "t", "a")),
+    "msum --kernel central": (("kernel", "n"), ("j", "t")),
+    "msum --kernel supercat": (("kernel", "n"), ("j", "t", "r")),
+    "msum --kernel half-supercat": (("kernel", "n"), ("j", "t", "r")),
+    "msum --kernel gessel": (("kernel", "n"), ("j", "t", "r")),
+    **{
+        f"closed-form --family {family.value}": (("family", "n"), params[1:])
+        for family, params in closed_forms.FAMILY_PARAMS.items()  # each takes n first
+    },
+}
+_COMPUTE_FLAGS = {
+    "n": "4", "k": "2", "m": "2", "r": "2", "j": "1", "t": "1", "a": "1",
+    "kernel": "plain", "family": "phi-00",
+}
+
+
+@pytest.mark.parametrize(
+    "what, flag",
+    [(what, flag) for what in _COMPUTE_READS for flag in _COMPUTE_FLAGS],
+    ids=lambda x: x.replace(" --kernel ", "-").replace(" --family ", "-"),
+)
+def test_compute_reads_exactly_its_declared_options(capsys, what, flag):
+    quantity, *selector = what.split()
+    required, optional = _COMPUTE_READS[what]
+    given = {name: _COMPUTE_FLAGS[name] for name in required}
+    if selector:
+        given[selector[0][2:]] = selector[1]
+    if flag in required:
+        del given[flag]
+    else:
+        given[flag] = _COMPUTE_FLAGS[flag]
+    argv = [arg for name, value in given.items() for arg in (f"--{name}", value)]
+    code, out, err = run(capsys, "compute", quantity, *argv)
+    if flag in required:
+        assert (code, out, err) == (2, "", f"error: compute {quantity} requires --{flag}\n")
+    elif flag in optional:
+        assert (code, err) == (0, "") and out.strip().lstrip("-").isdigit()
+    else:
+        assert (code, out, err) == (2, "", f"error: compute {what} does not take --{flag}\n")
+
+
 def test_compute_failed_exact_division_exits_one(capsys, monkeypatch):
     # every binomial read as 1 leaves the phi-j-t0 total at 1/2
     monkeypatch.setattr(closed_forms, "binomial", lambda n, k: 1)
