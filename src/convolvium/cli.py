@@ -113,10 +113,10 @@ def _build_parser() -> argparse.ArgumentParser:
     comp.add_argument("--n", type=int, help="main index")
     comp.add_argument("--k", type=int, help="binomial lower index")
     comp.add_argument("--m", type=int, help="binomial weight exponent (default 1)")
-    comp.add_argument("--r", type=int, help="order parameter (default 1)")
+    comp.add_argument("--r", type=int, help="order: required by supercatalan and gessel, else default 1")
     comp.add_argument("--j", type=int, help="M-sum offset (default 0)")
     comp.add_argument("--t", type=int, help="M-sum weight level (default 0)")
-    comp.add_argument("--a", type=int, help="kernel shift parameter (default 0)")
+    comp.add_argument("--a", type=int, help="shift of msum's rising kernel and s2 closed forms (default 0)")
     comp.add_argument("--kernel", choices=_CLI_KERNELS, help="kernel for msum")
     comp.add_argument(
         "--family",

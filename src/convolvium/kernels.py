@@ -153,8 +153,7 @@ def _walk(first: int, nums: Iterable[int], dens: Iterable[int]) -> Iterator[int]
 
 
 def _centrals(n: int) -> Iterator[int]:
-    """binomial(2i, i) for i = 0..n by the step 2(2i+1)/(i+1), lazily, so a
-    scan that stops early walks no further."""
+    """binomial(2i, i) for i = 0..n by the step 2(2i+1)/(i+1), one at a time."""
     return _walk(1, range(2, 4 * n, 4), range(1, n + 1))
 
 

@@ -7,23 +7,23 @@ endpoints included. A PathSpec forbids touching one of two diagonal sets:
     gessel-tail{r}:  {(x, x) : x >= r}
     prefix-band{n}:  {(x, x) : 1 <= x <= n}   (empty when n = 0)
 
-Counting is a straight dynamic program (each cell is left + below, forbidden
-cells are 0, the origin seeds 1 unless itself forbidden). Explicit
-enumeration exists as an independent cross-check for small boards: a
-depth-first walk from the origin that tries R before U and abandons a
-prefix at its first forbidden vertex, so its work follows the admissible
-prefixes rather than all binomial(x+y, x) step strings.
+Counting is a dynamic program, column by column (a cell is left + below, a
+forbidden cell 0, the origin 1 unless forbidden), so one board gives the
+count at every point it holds. Explicit enumeration is an independent
+cross-check for small boards: a depth-first walk from the origin that tries
+R before U and abandons a prefix at its first forbidden vertex, so its work
+follows the admissible prefixes, not all binomial(x+y, x) step strings.
 
 Both interpretations with target (n+r, n+r-1) count the Gessel number
 P(n, r): the tail set with bound r for n >= 0 (`gessel_path_spec`), the band
 set with bound n for n >= 1 (`prefix_path_spec`). The verifier's paths suite
-counts both and compares them with the arithmetic `exact.gessel`.
+reads both off one board per r and one per n, against `exact.gessel`.
 """
 
 from __future__ import annotations
 
 from enum import Enum
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 ENUMERATION_LIMIT = 22  # max x+y a board may have for explicit enumeration
 
@@ -80,8 +80,8 @@ def prefix_path_spec(n: int, r: int) -> PathSpec:
     return PathSpec((n + r, n + r - 1), TouchSet.PREFIX_BAND, n)
 
 
-def count_paths(spec: PathSpec) -> int:
-    """Number of monotone paths to spec.target avoiding the forbidden set."""
+def _columns(spec: PathSpec) -> Iterator[list[int]]:
+    """The DP's columns x = 0..x_max, one list refilled in place: entry y counts paths to (x, y)."""
     x_max, y_max = spec.target
     col = [0] * (y_max + 1)
     for x in range(x_max + 1):
@@ -94,7 +94,19 @@ def count_paths(spec: PathSpec) -> int:
                 left = col[y] if x > 0 else 0  # col still holds column x-1 here
                 below = col[y - 1] if y > 0 else 0
                 col[y] = left + below
-    return col[y_max]
+        yield col
+
+
+def count_paths(spec: PathSpec) -> int:
+    """Number of monotone paths to spec.target avoiding the forbidden set."""
+    *_, col = _columns(spec)
+    return col[spec.target[1]]
+
+
+def subdiagonal_counts(spec: PathSpec) -> list[int]:
+    """count_paths at (x, x-1), x = 1..x_max, in entry x-1, off one board: a path
+    stays below and left of its end, so its count is the same on any board."""
+    return [col[x - 1] for x, col in enumerate(_columns(spec)) if x]
 
 
 def enumerate_paths(spec: PathSpec) -> list[str]:

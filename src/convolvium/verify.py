@@ -21,7 +21,7 @@ disagree, so a failing report lists what the kernel-by-kernel sweep lists.
 closed-forms compares both sides of each (family, n) as one block of
 vectors, every offset of every instance. stanley compares each (a, b, m) as
 one packed product, eq14 each (a, b) as one block, and kr each r's window
-as one block. Every suite runs in the calling process.
+as one least multiplier. Every suite runs in the calling process.
 
 Runtime protection: each suite declares the cases it checks at a resolved
 range. Before running, it refuses (RangeTooLarge) if their estimated time
@@ -36,8 +36,9 @@ import math
 import os
 import random
 import time
-from itertools import chain, count, repeat
-from operator import lshift, mod, mul
+from functools import reduce
+from itertools import chain, count
+from operator import lshift, mul
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 from . import closed_forms as cf
@@ -65,10 +66,10 @@ from .kernels import (
     binomial_pair_row,
 )
 from .paths import (
-    count_paths,
     enumerate_paths,
     gessel_path_spec,
     prefix_path_spec,
+    subdiagonal_counts,
 )
 from .sums import (
     direct_sum,
@@ -607,32 +608,23 @@ def _run_eq14(ctx: _SuiteCtx) -> None:
 
 def _run_kr(ctx: _SuiteCtx) -> None:
     window = ctx.params["n_max"]
-    # binomial(2n, n) for n = 0, 1, ..., as far as a minimality scan has
-    # needed, and the walk that goes on from there
-    known: list[int] = []
-    walk = _centrals(window)
+    expected = f"some n <= {window} where K*binomial(2n,n) is not divisible by n+r"
     for r in range(1, ctx.params["r_max"] + 1):
         cleared = smallest_clearing_factor(r)
-        # the window in one block, walked afresh and kept nowhere; case by
-        # case only if some n fails
-        if any(map(mod, map(mul, _centrals(window), repeat(cleared)), count(r))):
+        # n + r divides K*binomial(2n, n) exactly when (n + r) / gcd(n + r, binomial(2n, n))
+        # divides K, so the multipliers that clear the window are the multiples of their lcm
+        least = reduce(math.lcm, map(lambda d, c: d // math.gcd(d, c), count(r), _centrals(window)))
+        # case by case only if some n fails
+        if cleared % least:
             text = decimal(cleared)
             for n, c in enumerate(_centrals(window)):
                 ctx.divides({"r": r, "n": n, "K": text}, n + r, cleared * c)
         else:
             ctx.cases += window + 1
         # minimality, as far as the window can see: every smaller multiplier
-        # must fail at some n in the window
-        expected = f"some n <= {window} where K*binomial(2n,n) is not divisible by n+r"
-        for cand in range(1, cleared):
-            if any(map(mod, map(mul, known, repeat(cand)), count(r))):
-                continue
-            for c in walk:
-                known.append(c)
-                if cand * c % (len(known) - 1 + r):
-                    break
-            else:
-                ctx.violate({"r": r, "K": cand}, expected, "no witness in window")
+        # must fail at some n in it, so none may be a multiple of least
+        for cand in range(least, cleared, least):
+            ctx.violate({"r": r, "K": cand}, expected, "no witness in window")
         ctx.cases += cleared - 1
 
 
@@ -647,19 +639,22 @@ def _run_remark1(ctx: _SuiteCtx) -> None:
 
 
 def _run_paths(ctx: _SuiteCtx) -> None:
-    p = ctx.params
-    for n in range(1, p["n_max"] + 1):
-        for r in range(1, p["r_max"] + 1):
-            specs = {"tail": gessel_path_spec(n, r), "band": prefix_path_spec(n, r)}
-            counts = {tag: count_paths(spec) for tag, spec in specs.items()}
+    n_max, r_max = ctx.params["n_max"], ctx.params["r_max"]
+    # the tail's forbidden set depends on r alone and the band's on n alone, so
+    # one board per r and one per n hold every (n + r, n + r - 1)
+    tail = [subdiagonal_counts(gessel_path_spec(n_max, r))[r:] for r in range(1, r_max + 1)]
+    for n in range(1, n_max + 1):
+        band = subdiagonal_counts(prefix_path_spec(n, r_max))[n:]
+        for r in range(1, r_max + 1):
+            counts = {"tail": tail[r - 1][n - 1], "band": band[r - 1]}
             for tag, count in counts.items():
                 ctx.equal({"n": n, "r": r, "check": f"{tag}-count"}, gessel(n, r), count)
             if 2 * (n + r) - 1 <= _ENUM_CROSSCHECK_STEPS:
-                for tag, spec in specs.items():
+                for tag, make in (("tail", gessel_path_spec), ("band", prefix_path_spec)):
                     ctx.equal(
                         {"n": n, "r": r, "check": f"enumeration-{tag}"},
                         counts[tag],
-                        len(enumerate_paths(spec)),
+                        len(enumerate_paths(make(n, r))),
                     )
 
 
@@ -687,7 +682,7 @@ class SuiteSpec(NamedTuple):
 
 
 def _kr_cases(p: dict[str, int]) -> int | float:
-    # refused past r 40 before any K_r is built: the scan tries every K < K_r
+    # each K < K_r counts as a case; refused past r 40 before any K_r is built
     if p["r_max"] > 40:
         return math.inf
     return sum(p["n_max"] + smallest_clearing_factor(r) for r in range(1, p["r_max"] + 1))
@@ -700,24 +695,17 @@ def _paths_cases(p: dict[str, int]) -> int:
     return 2 * (p["n_max"] * p["r_max"] + small)
 
 
-def _paths_cells(p: dict[str, int]) -> int:
-    """The board cells count_paths fills: (k + 1) k at k = n + r for each of
-    the two specs at every (n, r), summed in closed form, since q(m) - q(m - 1)
-    = m (m + 1) (m + 2) / 3 and that in turn sums (k + 1) k over k <= m."""
-
-    def q(m: int) -> int:
-        return m * (m + 1) * (m + 2) * (m + 3) // 12
-
-    n, r = p["n_max"], p["r_max"]
-    return 2 * (q(n + r) - q(n) - q(r))
-
-
 def _paths_grow(params: dict[str, int], defaults: dict[str, int]) -> float:
-    """Cells per case at params over cells per case at defaults: a case's
-    board grows with its area, in both n and r."""
-    return (_paths_cells(params) / _paths_cases(params)) / (
-        _paths_cells(defaults) / _paths_cases(defaults)
-    )
+    """Board cells per case at params over those at defaults: r's tail board
+    and n's band board have (k + 1) k cells at k = n_max + r and k = n + r_max,
+    and q(m) = m (m + 1) (m + 2) / 3 sums (k + 1) k over k <= m."""
+
+    def cells_per_case(p: dict[str, int]) -> float:
+        n, r = p["n_max"], p["r_max"]
+        q = [m * (m + 1) * (m + 2) // 3 for m in (n + r, n, r)]
+        return (2 * q[0] - q[1] - q[2]) / _paths_cases(p)
+
+    return cells_per_case(params) / cells_per_case(defaults)
 
 
 _MIN_DEFAULTS = {"n_max": 0, "m_max": 1, "r_max": 1, "a_max": 0}
@@ -887,7 +875,7 @@ _REGISTRY: dict[str, SuiteSpec] = {
             {"n_max": 10, "r_max": 6},
             _run_paths,
             _paths_cases,
-            49.0,
+            27.3,
             minimums={"n_max": 1, "r_max": 1},
             grow=_paths_grow,
         ),

@@ -18,7 +18,7 @@ from pathlib import Path
 import pytest
 
 import convolvium
-from convolvium import closed_forms, verify
+from convolvium import cli, closed_forms, verify
 from convolvium.cli import main
 
 _TRIM_FLAGS = ["--n-max", "3", "--m-max", "2", "--r-max", "2", "--a-max", "1"]
@@ -493,6 +493,23 @@ def test_table_refuses_an_option_its_quantity_does_not_read(capsys, argv, named)
 def test_help_exits_zero(capsys):
     assert run(capsys, "--help")[0] == 0
     assert run(capsys, "verify", "--help")[0] == 0
+
+
+def test_compute_help_names_who_requires_r_and_who_reads_a(capsys):
+    # the help of --r and --a says what _COMPUTE declares: supercatalan and
+    # gessel require --r and the rest read it at 1; --a is read at 0, by
+    # msum's rising kernel and by closed-form's two s2 families
+    code, out, _ = run(capsys, "compute", "--help")
+    text = " ".join(out.split())
+    assert code == 0
+    assert "--r R order: required by supercatalan and gessel, else default 1" in text
+    assert "--a A shift of msum's rising kernel and s2 closed forms (default 0)" in text
+    r_defaults = {q: opts["r"] for q, (_, opts) in cli._COMPUTE.items() if "r" in opts}
+    assert {q for q, d in r_defaults.items() if d is cli._REQUIRED} == {"supercatalan", "gessel"}
+    assert {d for d in r_defaults.values() if d is not cli._REQUIRED} == {1}
+    assert {opts["a"] for _, opts in cli._COMPUTE.values() if "a" in opts} == {0}
+    takes_a = {f.value for f, takes in closed_forms.FAMILY_PARAMS.items() if "a" in takes}
+    assert takes_a == {"s2-t0", "s2-t1"}
 
 
 def test_missing_subcommand(capsys):

@@ -21,6 +21,7 @@ from convolvium.paths import (
     enumerate_paths,
     gessel_path_spec,
     prefix_path_spec,
+    subdiagonal_counts,
 )
 
 
@@ -126,6 +127,17 @@ def test_both_interpretations_equal_the_gessel_number():
             value = gessel(n, r)
             assert count_paths(gessel_path_spec(n, r)) == value
             assert count_paths(prefix_path_spec(n, r)) == value
+
+
+def test_one_board_gives_the_count_at_every_subdiagonal_point():
+    # the board to (15, 14) holds every (x, x-1) below it, and the count
+    # there is the count on that point's own board; both touch sets, bounds 0-7
+    for touch in TouchSet:
+        for bound in range(8):
+            counts = subdiagonal_counts(PathSpec((15, 14), touch, bound))
+            assert counts == [
+                count_paths(PathSpec((x, x - 1), touch, bound)) for x in range(1, 16)
+            ], (touch, bound)
 
 
 def test_enumeration_limit():

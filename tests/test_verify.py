@@ -33,7 +33,7 @@ from convolvium.kernels import (
     supercat_kernel,
     with_bump,
 )
-from convolvium.paths import gessel_path_spec
+from convolvium.paths import PathSpec, TouchSet, gessel_path_spec
 from convolvium.verify import (
     FUZZ_KERNEL_COUNT,
     RangeTooLarge,
@@ -879,6 +879,49 @@ def test_kr_minimality_counts_candidates():
     assert rep.cases_checked == 2 * 21 + 5
 
 
+_K = verify.smallest_clearing_factor
+
+
+# kr under a wrong multiplier at n 60, r 5: the violation count, the
+# cases_checked and the sha256 of `reports_to_json([report])`, recorded on
+# the runner that tried every candidate K < K_r against the window in turn
+@pytest.mark.parametrize(
+    "wrong, violations, cases, digest",
+    [
+        (
+            lambda r: 2 * _K(r),
+            5,
+            1914,
+            "b486b71814f91b7588d843f5c6dfd1806272b7daaae0c4babc81413faddc9085",
+        ),
+        (
+            lambda r: _K(r) // 2 if r > 1 else _K(r),
+            18,
+            704,
+            "1aa394af171ee59d7ef1769a7ae7fd3dcc12fd819e89b4521bbbf9c080d7abcb",
+        ),
+        (
+            lambda r: 3 * _K(r) if r == 3 else _K(r),
+            2,
+            1167,
+            "2e12ae962bae4cf54f415defc1880c55764fec964c9a389d63e370cec438660c",
+        ),
+        (
+            lambda r: 1,
+            97,
+            305,
+            "80152dc1ae030c4fd94724792c0cddfb634aa93eb50b848f82b467231409034c",
+        ),
+    ],
+    ids=["double", "half", "triple-at-3", "one"],
+)
+def test_kr_reports_a_wrong_multiplier(monkeypatch, wrong, violations, cases, digest):
+    monkeypatch.setattr(verify, "smallest_clearing_factor", wrong)
+    report = run_suite("kr", SweepRange(n_max=60, r_max=5))
+    assert (len(report.violations), report.cases_checked) == (violations, cases)
+    assert _sha256(report) == digest
+
+
 def test_kr_window_walk_gives_the_central_binomials():
     assert list(verify._centrals(60)) == [math.comb(2 * n, n) for n in range(61)]
 
@@ -927,3 +970,32 @@ def test_kr_no_witness_is_a_violation():
     rep = run_suite("kr", SweepRange(n_max=0, r_max=2))
     assert not rep.passed
     assert any(v["actual"] == "no witness in window" for v in rep.violations)
+
+
+# a forbidden set one diagonal point off, built wherever the suite makes that
+# spec: its counts must differ from the Gessel number at these (n, r), and
+# only its own counts may be reported
+@pytest.mark.parametrize(
+    "maker, wrong, tag, failing",
+    [
+        (
+            "gessel_path_spec",
+            lambda n, r: PathSpec((n + r, n + r - 1), TouchSet.GESSEL_TAIL, r + 1),
+            "tail",
+            lambda n, r: True,  # (r, r) is open, and every target lies past it
+        ),
+        (
+            "prefix_path_spec",
+            lambda n, r: PathSpec((n + r, n + r - 1), TouchSet.PREFIX_BAND, n + 1),
+            "band",
+            lambda n, r: r > 1,  # (n + 1, n + 1) is off the board at r = 1
+        ),
+    ],
+    ids=["tail", "band"],
+)
+def test_paths_reads_each_count_off_its_own_board(monkeypatch, maker, wrong, tag, failing):
+    monkeypatch.setattr(verify, maker, wrong)
+    report = run_suite("paths", SweepRange(n_max=5, r_max=4))
+    got = [tuple(map(v["parameters"].get, ("n", "r", "check"))) for v in report.violations]
+    cases = [(n, r) for n in range(1, 6) for r in range(1, 5)]
+    assert got == [(n, r, f"{tag}-count") for n, r in cases if failing(n, r)]
